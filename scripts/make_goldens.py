@@ -23,8 +23,11 @@ def load(name):
 
 
 def write(name, payload):
+    """Write the bytes the CLI prints: text as is, anything else as JSON."""
     path = GOLDENS / name
-    path.write_text(json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, ensure_ascii=False, indent=2)
+    path.write_text(payload + "\n", encoding="utf-8")
     print(f"wrote {path.relative_to(ROOT)}")
 
 
@@ -36,6 +39,8 @@ def main():
     backends = [Backend.axiomatic(), Backend.fock(8)]
     write("audit_one_loop.json", claims_audit(load("one_loop"), backends).to_json_dict())
     write("audit_single_edge.json", claims_audit(load("single_edge"), backends).to_json_dict())
+    write("audit_loops_bridge.json", claims_audit(load("loops_bridge"), backends).to_json_dict())
+    write("audit_one_loop.txt", claims_audit(load("one_loop"), backends).to_text())
 
 
 if __name__ == "__main__":

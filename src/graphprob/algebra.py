@@ -415,18 +415,6 @@ class AlgebraElement:
         return " + ".join(f"{c}*{m.display()}" for m, c in self.terms)
 
 
-def expectation(a: AlgebraElement) -> DiagonalElement:
-    return a.expectation()
-
-
-def support(a: AlgebraElement) -> Support:
-    return a.support()
-
-
-def restrict_diagonal(d: DiagonalElement, vertex_subset) -> DiagonalElement:
-    return d.restrict(vertex_subset)
-
-
 @dataclass(frozen=True)
 class FaithfulnessRow:
     element: str

@@ -18,7 +18,6 @@ from .algebra import (
     faithfulness_probe,
 )
 from .cumulants import (
-    DEFAULT_ARITY_BOUND,
     CumulantFunctional,
     MixedScanReport,
     ScanFinding,
@@ -39,6 +38,11 @@ def format_table(headers, rows) -> str:
     lines = [fmt(headers), fmt(["-" * w for w in widths])]
     lines.extend(fmt(r) for r in rows)
     return "\n".join(lines)
+
+
+def _findings_table(findings) -> str:
+    rows = [[str(f.order), "(" + ", ".join(f.pattern) + ")", str(f.value)] for f in findings]
+    return format_table(["order", "pattern", "value"], rows)
 
 
 # ==== semicircularity ====
@@ -92,14 +96,12 @@ class SemicircularReport:
         return "\n".join([head, table, tail])
 
 
-def check_semicircular(
-    a: AlgebraElement, max_order: int, *, bound: int = DEFAULT_ARITY_BOUND
-) -> SemicircularReport:
+def check_semicircular(a: AlgebraElement, max_order: int) -> SemicircularReport:
     """Brackets k_n(a, ..., a) for n = 1..max_order; semicircular means
     the only nonzero bracket is the variance at order 2."""
     if not a.is_self_adjoint():
         raise DomainError("semicircularity check needs a self-adjoint element")
-    f = CumulantFunctional(bound=max(bound, max_order))
+    f = CumulantFunctional(bound=max_order)
     k2 = DiagonalElement.zero(a.graph)
     offenders = []
     for n in range(1, max_order + 1):
@@ -134,11 +136,7 @@ class RDiagonalReport:
         }
 
     def to_text(self) -> str:
-        rows = [
-            [str(f.order), "(" + ", ".join(f.pattern) + ")", str(f.value)]
-            for f in self.nonzero
-        ]
-        table = format_table(["order", "pattern", "value"], rows)
+        table = _findings_table(self.nonzero)
         head = f"R-diagonality of a = L[{self.word}]  [{self.backend}]"
         tail = (
             "verdict: true (every nonzero bracket alternates a, a*)"
@@ -155,12 +153,7 @@ def _alternating(pattern: tuple[str, ...]) -> bool:
 
 
 def check_r_diagonal(
-    graph: Graph,
-    backend: Backend,
-    word: PathWord,
-    max_order: int,
-    *,
-    bound: int = DEFAULT_ARITY_BOUND,
+    graph: Graph, backend: Backend, word: PathWord, max_order: int
 ) -> RDiagonalReport:
     """Scan every bracket over {L[w], L*[w]} up to max_order; R-diagonal
     means nonzero brackets occur only on even alternating patterns."""
@@ -169,7 +162,7 @@ def check_r_diagonal(
     c = AlgebraElement.generator(graph, backend, word)
     s = AlgebraElement.generator(graph, backend, word, starred=True)
     names = {c: "a", s: "a*"}
-    f = CumulantFunctional(bound=max(bound, max_order))
+    f = CumulantFunctional(bound=max_order)
     findings = []
     for n in range(1, max_order + 1):
         for tup in itertools.product((c, s), repeat=n):
@@ -216,15 +209,10 @@ class FreenessReport:
             f"freeness of {{{', '.join(self.family_a)}}} vs "
             f"{{{', '.join(self.family_b)}}}  [{self.backend}]"
         )
-        rows = [
-            [str(f.order), "(" + ", ".join(f.pattern) + ")", str(f.value)]
-            for f in self.scan.findings
-        ]
-        table = format_table(["order", "pattern", "value"], rows)
         lines = [
             head,
             f"mixed tuples checked: {self.scan.checked} (orders 1..{self.max_order})",
-            table,
+            _findings_table(self.scan.findings),
             f"computed: {'free' if self.free_to_order else 'not free'} to order {self.max_order}",
             f"diagram prediction: {self.prediction}",
             f"agreement: {self.agreement}",
@@ -232,14 +220,7 @@ class FreenessReport:
         return "\n".join(lines)
 
 
-def check_freeness(
-    family_a,
-    family_b,
-    max_order: int,
-    *,
-    bound: int = DEFAULT_ARITY_BOUND,
-    labels=None,
-) -> FreenessReport:
+def check_freeness(family_a, family_b, max_order: int) -> FreenessReport:
     """Mixed-cumulant scan next to the diagram-distinctness prediction.
 
     The prediction compares the path words supporting each family: all
@@ -251,9 +232,7 @@ def check_freeness(
     if not family_a or not family_b:
         raise DomainError("freeness check needs two nonempty families")
     backend = family_a[0].backend
-    scan = mixed_cumulant_scan(
-        family_a, family_b, max_order, bound=max(bound, max_order), labels=labels
-    )
+    scan = mixed_cumulant_scan(family_a, family_b, max_order, bound=max_order)
     words_a = sorted(
         {w for a in family_a for w in a.support().path_support}, key=lambda w: w.key()
     )
@@ -482,8 +461,8 @@ class AuditReport:
         )
 
 
-def _verdict(matches: dict) -> str:
-    vals = set(matches.values())
+def _verdict(matches) -> str:
+    vals = set(matches)
     if vals == {True}:
         return "match"
     if vals == {False}:
@@ -491,137 +470,109 @@ def _verdict(matches: dict) -> str:
     return "backend-dependent"
 
 
+def _variance(graph: Graph, backend: Backend, word: PathWord) -> DiagonalElement:
+    a = AlgebraElement.symmetrized_generator(graph, backend, word)
+    return CumulantFunctional().valuation((a, a))
+
+
+def _half_variance(graph: Graph, backend: Backend, word: PathWord) -> DiagonalElement:
+    return _variance(graph, backend, word) * Fraction(1, 2)
+
+
+def _fourth_moment(graph: Graph, backend: Backend, word: PathWord) -> DiagonalElement:
+    return AlgebraElement.symmetrized_generator(graph, backend, word).power(4).expectation()
+
+
+def _vertex_multiple(coeff, value_of):
+    """A row whose diagonal value_of(graph, backend, word) should equal
+    coeff times the unit at the subject's vertex."""
+
+    def compute(graph, backend, word, vertex):
+        value = value_of(graph, backend, word)
+        return str(value), value == DiagonalElement.vertex_unit(graph, vertex, coeff)
+
+    return compute
+
+
+def _range_projection(graph, backend, word, vertex):
+    lw = AlgebraElement.generator(graph, backend, word)
+    prod = lw * lw.adjoint()
+    return str(prod), prod == AlgebraElement.vertex_projection(graph, backend, vertex)
+
+
+def _faithful(graph, backend, word, vertex):
+    samples = [
+        AlgebraElement.generator(graph, backend, word),
+        AlgebraElement.generator(graph, backend, word, starred=True),
+    ]
+    probe = faithfulness_probe(graph, backend, samples)
+    if probe.faithful_on_samples:
+        return "no counterexamples", True
+    return f"counterexample: a = {probe.counterexamples[0]}", False
+
+
+def _semicircular(graph, backend, word, vertex):
+    rep = check_semicircular(AlgebraElement.symmetrized_generator(graph, backend, word), 6)
+    if rep.verdict:
+        return "verdict true", True
+    orders = ",".join(str(n) for n, _ in rep.offenders)
+    return f"verdict false (nonzero at orders {orders})", False
+
+
+# The audit rows in order: (id, subject, claim, stated, compute).  The
+# subject is the graph's first edge ("edge") or first loop edge ("loop");
+# a row is skipped when the graph has none.  Claim and stated text are
+# formatted with the subject's word {w} and initial vertex {v}, and
+# compute(graph, backend, word, vertex) returns (computed text, matches).
+_AUDIT_ROWS = (
+    ("R1", "edge", "range projection: L[{w}]L*[{w}] equals the projection at @{v}",
+     "1*L[@{v}]", _range_projection),
+    ("R2", "loop", "second bracket of a = L[{w}] + L*[{w}] equals 2*L[@{v}]",
+     "2*L[@{v}]", _vertex_multiple(2, _variance)),
+    ("R3", "loop", "fourth moment E(a^4) of a = L[{w}] + L*[{w}] equals 8*L[@{v}]",
+     "8*L[@{v}]", _vertex_multiple(8, _fourth_moment)),
+    ("R4", "edge", "the diagonal compression is faithful: E(a* a) = 0 implies a = 0",
+     "no counterexamples", _faithful),
+    ("R5", "loop", "the symmetrized loop generator is semicircular "
+     "(only the order-2 bracket is nonzero, checked to order 6)",
+     "verdict true", _semicircular),
+    ("R6", "loop", "halving the loop variance (squared 1/sqrt(2) normalization) "
+     "gives the unit second bracket",
+     "1*L[@{v}]", _vertex_multiple(1, _half_variance)),
+)
+
+
 def claims_audit(graph: Graph, backends) -> AuditReport:
     """Audit rows R1..R6 where the graph supplies a subject.
 
-    R1 needs any edge, the loop rows R2, R3, R5, R6 need a loop edge, and
-    fock backends need depth at least 6 for the order-6 semicircularity
-    row.  Mismatching rows are reported, never raised.
+    R1 and R4 need any edge, the loop rows R2, R3, R5, R6 need a loop
+    edge, and fock backends need depth at least 6 for the order-6
+    semicircularity row.  Mismatching rows are reported, never raised.
     """
     backends = list(backends)
     kinds = [b.kind for b in backends]
     if len(set(kinds)) != len(kinds):
         raise DomainError("one backend per kind in an audit")
-    classes = classify_edges(graph)
+    loops = classify_edges(graph).eloop
+    subjects = {
+        "edge": graph.edges[0] if graph.edges else None,
+        "loop": graph.edge(loops[0]) if loops else None,
+    }
     rows = []
-
-    first_edge = graph.edges[0] if graph.edges else None
-    if first_edge is not None:
-        w = PathWord.from_edges(graph, [first_edge.id])
-        computed = {}
-        matches = {}
-        for b in backends:
-            lw = AlgebraElement.generator(graph, b, w)
-            prod = lw * lw.adjoint()
-            proj = AlgebraElement.vertex_projection(graph, b, first_edge.initial)
-            computed[b.kind] = str(prod)
-            matches[b.kind] = prod == proj
+    for rid, subject, claim, stated, compute in _AUDIT_ROWS:
+        edge = subjects[subject]
+        if edge is None:
+            continue
+        word = PathWord.from_edges(graph, [edge.id])
+        v = edge.initial
+        results = {b.kind: compute(graph, b, word, v) for b in backends}
         rows.append(
             AuditRow(
-                "R1",
-                f"range projection: L[{w}]L*[{w}] equals the projection at @{first_edge.initial}",
-                f"1*L[@{first_edge.initial}]",
-                computed,
-                _verdict(matches),
+                rid,
+                claim.format(w=word, v=v),
+                stated.format(v=v),
+                {kind: text for kind, (text, _) in results.items()},
+                _verdict(ok for _, ok in results.values()),
             )
         )
-
-        computed4, matches4 = {}, {}
-        for b in backends:
-            samples = [
-                AlgebraElement.generator(graph, b, w),
-                AlgebraElement.generator(graph, b, w, starred=True),
-            ]
-            probe = faithfulness_probe(graph, b, samples)
-            if probe.faithful_on_samples:
-                computed4[b.kind] = "no counterexamples"
-            else:
-                computed4[b.kind] = f"counterexample: a = {probe.counterexamples[0]}"
-            matches4[b.kind] = probe.faithful_on_samples
-        rows.append(
-            AuditRow(
-                "R4",
-                "the diagonal compression is faithful: E(a* a) = 0 implies a = 0",
-                "no counterexamples",
-                computed4,
-                _verdict(matches4),
-            )
-        )
-
-    if classes.eloop:
-        loop_edge = graph.edge(classes.eloop[0])
-        lw = PathWord.from_edges(graph, [loop_edge.id])
-        v = loop_edge.initial
-        stated2 = DiagonalElement.vertex_unit(graph, v, 2)
-        stated8 = DiagonalElement.vertex_unit(graph, v, 8)
-        unit = DiagonalElement.vertex_unit(graph, v)
-
-        computed2, matches2 = {}, {}
-        computed3, matches3 = {}, {}
-        computed5, matches5 = {}, {}
-        computed6, matches6 = {}, {}
-        for b in backends:
-            a = AlgebraElement.symmetrized_generator(graph, b, lw)
-            f = CumulantFunctional()
-            k2 = f.valuation((a, a))
-            computed2[b.kind] = str(k2)
-            matches2[b.kind] = k2 == stated2
-
-            m4 = a.power(4).expectation()
-            computed3[b.kind] = str(m4)
-            matches3[b.kind] = m4 == stated8
-
-            rep = check_semicircular(a, 6)
-            if rep.verdict:
-                computed5[b.kind] = "verdict true"
-            else:
-                orders = ",".join(str(n) for n, _ in rep.offenders)
-                computed5[b.kind] = f"verdict false (nonzero at orders {orders})"
-            matches5[b.kind] = rep.verdict
-
-            half = k2 * Fraction(1, 2)
-            computed6[b.kind] = str(half)
-            matches6[b.kind] = half == unit
-
-        rows.append(
-            AuditRow(
-                "R2",
-                f"second bracket of a = L[{lw}] + L*[{lw}] equals 2*L[@{v}]",
-                str(stated2),
-                computed2,
-                _verdict(matches2),
-            )
-        )
-        rows.append(
-            AuditRow(
-                "R3",
-                f"fourth moment E(a^4) of a = L[{lw}] + L*[{lw}] equals 8*L[@{v}]",
-                str(stated8),
-                computed3,
-                _verdict(matches3),
-            )
-        )
-        rows.append(
-            AuditRow(
-                "R5",
-                "the symmetrized loop generator is semicircular "
-                "(only the order-2 bracket is nonzero, checked to order 6)",
-                "verdict true",
-                computed5,
-                _verdict(matches5),
-            )
-        )
-        rows.append(
-            AuditRow(
-                "R6",
-                "halving the loop variance (squared 1/sqrt(2) normalization) "
-                "gives the unit second bracket",
-                str(unit),
-                computed6,
-                _verdict(matches6),
-            )
-        )
-
-    order = {"R1": 0, "R2": 1, "R3": 2, "R4": 3, "R5": 4, "R6": 5}
-    rows.sort(key=lambda r: order[r.id])
     return AuditReport(graph.summary(), tuple(kinds), tuple(rows))

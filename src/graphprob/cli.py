@@ -28,7 +28,7 @@ from .analyzers import (
     decompose,
     format_table,
 )
-from .cumulants import CumulantFunctional, DEFAULT_ARITY_BOUND
+from .cumulants import CumulantFunctional
 from .errors import DomainError
 from .graphs import Graph, enumerate_paths, parse_graph, parse_word
 from .operators import Backend
@@ -164,6 +164,23 @@ def _make_backend(args, auto_depth: int) -> Backend:
     return Backend.fock(depth)
 
 
+def _prepare(args, exprs, min_order: int, message: str):
+    """The backend and the elements a command works on.
+
+    The checks run in a fixed order, so a request with several faults
+    always reports the same one: graph file, order, expression syntax,
+    words, backend options, element construction.  The automatic fock
+    depth is the largest expression degree times the order.
+    """
+    graph = _load_graph(args.graph)
+    if args.max_order < min_order:
+        raise DomainError(message)
+    asts = [parse_element_ast(text) for text in exprs]
+    degree = max((ast_degree(graph, ast) for ast in asts), default=0)
+    backend = _make_backend(args, max(1, degree) * args.max_order)
+    return backend, [build_element(graph, backend, ast) for ast in asts]
+
+
 def _add_output_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, metavar="FILE")
@@ -245,75 +262,51 @@ def cmd_decompose(args) -> str:
     return _render(args, report.to_text, report.to_json_dict)
 
 
-def _series_rows(entries) -> str:
-    rows = [[str(n), str(v)] for n, v in entries]
-    return format_table(["order", "value"], rows)
+def _render_series(args, name: str, a: AlgebraElement, backend: Backend, entries) -> str:
+    """The moments or cumulants of ``a``, one diagonal value per order."""
+
+    def text():
+        rows = [[str(n), str(v)] for n, v in entries]
+        return "\n".join([f"{name} of {a}  [{backend}]", format_table(["order", "value"], rows)])
+
+    def as_json():
+        return {
+            "element": str(a),
+            "backend": backend.to_json(),
+            name: [
+                {"order": n, "value": str(v), "coeffs": v.to_json_dict()}
+                for n, v in entries
+            ],
+        }
+
+    return _render(args, text, as_json)
 
 
 def cmd_moments(args) -> str:
-    graph = _load_graph(args.graph)
-    if args.max_order < 1:
-        raise DomainError("max order must be positive")
-    ast = parse_element_ast(args.element)
-    auto = max(1, ast_degree(graph, ast)) * args.max_order
-    backend = _make_backend(args, auto)
-    a = build_element(graph, backend, ast)
-    entries = [(n, a.power(n).expectation()) for n in range(1, args.max_order + 1)]
-
-    def text():
-        head = f"moments of {a}  [{backend}]"
-        return "\n".join([head, _series_rows(entries)])
-
-    def as_json():
-        return {
-            "element": str(a),
-            "backend": backend.to_json(),
-            "moments": [
-                {"order": n, "value": str(v), "coeffs": v.to_json_dict()}
-                for n, v in entries
-            ],
-        }
-
-    return _render(args, text, as_json)
+    backend, (a,) = _prepare(args, [args.element], 1, "max order must be positive")
+    # Each power is the previous one times a, as a.power(n) folds it; the
+    # automatic depth covers exactly max_order factors, so none is formed
+    # beyond that.
+    p = a
+    entries = [(1, a.expectation())]
+    for n in range(2, args.max_order + 1):
+        p = p * a
+        entries.append((n, p.expectation()))
+    return _render_series(args, "moments", a, backend, entries)
 
 
 def cmd_cumulants(args) -> str:
-    graph = _load_graph(args.graph)
-    if args.max_order < 1:
-        raise DomainError("max order must be positive")
-    ast = parse_element_ast(args.element)
-    auto = max(1, ast_degree(graph, ast)) * args.max_order
-    backend = _make_backend(args, auto)
-    a = build_element(graph, backend, ast)
-    f = CumulantFunctional(bound=max(DEFAULT_ARITY_BOUND, args.max_order))
+    backend, (a,) = _prepare(args, [args.element], 1, "max order must be positive")
+    f = CumulantFunctional(bound=args.max_order)
     entries = [(n, f.valuation((a,) * n)) for n in range(1, args.max_order + 1)]
-
-    def text():
-        head = f"cumulants of {a}  [{backend}]"
-        return "\n".join([head, _series_rows(entries)])
-
-    def as_json():
-        return {
-            "element": str(a),
-            "backend": backend.to_json(),
-            "cumulants": [
-                {"order": n, "value": str(v), "coeffs": v.to_json_dict()}
-                for n, v in entries
-            ],
-        }
-
-    return _render(args, text, as_json)
+    return _render_series(args, "cumulants", a, backend, entries)
 
 
 def cmd_check_semicircular(args) -> str:
-    graph = _load_graph(args.graph)
-    if args.max_order < 2:
-        raise DomainError("semicircularity needs max order at least 2")
-    ast = parse_element_ast(args.element)
-    auto = max(1, ast_degree(graph, ast)) * args.max_order
-    backend = _make_backend(args, auto)
-    a = build_element(graph, backend, ast)
-    report = check_semicircular(a, args.max_order, bound=max(DEFAULT_ARITY_BOUND, args.max_order))
+    _, (a,) = _prepare(
+        args, [args.element], 2, "semicircularity needs max order at least 2"
+    )
+    report = check_semicircular(a, args.max_order)
     return _render(args, report.to_text, report.to_json_dict)
 
 
@@ -324,50 +317,52 @@ def cmd_check_rdiagonal(args) -> str:
     word = parse_word(graph, args.word)
     auto = max(1, word.length) * args.max_order
     backend = _make_backend(args, auto)
-    report = check_r_diagonal(
-        graph, backend, word, args.max_order, bound=max(DEFAULT_ARITY_BOUND, args.max_order)
-    )
+    report = check_r_diagonal(graph, backend, word, args.max_order)
     return _render(args, report.to_text, report.to_json_dict)
 
 
 def cmd_check_freeness(args) -> str:
-    graph = _load_graph(args.graph)
-    if args.max_order < 1:
-        raise DomainError("max order must be positive")
-    asts_a = [parse_element_ast(t) for t in args.family_a]
-    asts_b = [parse_element_ast(t) for t in args.family_b]
-    deg = max(
-        [ast_degree(graph, ast) for ast in asts_a + asts_b] or [0]
+    _, elements = _prepare(
+        args, args.family_a + args.family_b, 1, "max order must be positive"
     )
-    auto = max(1, deg) * args.max_order
-    backend = _make_backend(args, auto)
-    family_a = [build_element(graph, backend, ast) for ast in asts_a]
-    family_b = [build_element(graph, backend, ast) for ast in asts_b]
-    report = check_freeness(
-        family_a,
-        family_b,
-        args.max_order,
-        bound=max(DEFAULT_ARITY_BOUND, args.max_order),
-    )
+    split = len(args.family_a)
+    report = check_freeness(elements[:split], elements[split:], args.max_order)
     return _render(args, report.to_text, report.to_json_dict)
 
 
 def cmd_audit(args) -> str:
     graph = _load_graph(args.graph)
-    depth = args.depth if args.depth is not None else AUDIT_DEPTH
-    if args.backend == "axiomatic":
-        if args.depth is not None:
-            raise DomainError("depth applies to the fock backend")
-        backends = [Backend.axiomatic()]
-    elif args.backend == "fock":
-        backends = [Backend.fock(depth)]
-    else:
+    if args.backend == "both":
+        depth = args.depth if args.depth is not None else AUDIT_DEPTH
         backends = [Backend.axiomatic(), Backend.fock(depth)]
+    else:
+        backends = [_make_backend(args, AUDIT_DEPTH)]
     report = claims_audit(graph, backends)
     return _render(args, report.to_text, report.to_json_dict)
 
 
 # ---- driver ----
+
+
+def _add_command(sub, name: str, func, help: str, *arguments, backend=False) -> None:
+    """One subcommand: the graph file, then its own arguments as
+    ``(flags, options)`` pairs, then the backend and output options."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("graph")
+    for flags, options in arguments:
+        p.add_argument(*flags, **options)
+    if backend:
+        _add_backend_opts(p)
+    _add_output_opts(p)
+    p.set_defaults(func=func)
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+def _max_order(default: int):
+    return _arg("--max-order", type=int, default=default)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -376,72 +371,42 @@ def _parser() -> argparse.ArgumentParser:
         description="exact workbench for graph-indexed operator distributions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse a graph file and echo its contents")
-    p.add_argument("graph")
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("paths", help="enumerate admissible words up to a length")
-    p.add_argument("graph")
-    p.add_argument("--max-len", type=int, default=3)
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_paths)
-
-    p = sub.add_parser("decompose", help="free product block decomposition")
-    p.add_argument("graph")
-    p.add_argument("--loop-bound", type=int, default=3)
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("moments", help="diagonal moments E(a^n)")
-    p.add_argument("graph")
-    p.add_argument("element", help="element expression, e.g. 'a:l' or 'L[e] + L*[e]'")
-    p.add_argument("--max-order", type=int, default=4)
-    _add_backend_opts(p)
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_moments)
-
-    p = sub.add_parser("cumulants", help="diagonal cumulants k_n(a, ..., a)")
-    p.add_argument("graph")
-    p.add_argument("element")
-    p.add_argument("--max-order", type=int, default=4)
-    _add_backend_opts(p)
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_cumulants)
-
-    p = sub.add_parser("check-semicircular", help="is the element semicircular?")
-    p.add_argument("graph")
-    p.add_argument("element")
-    p.add_argument("--max-order", type=int, default=6)
-    _add_backend_opts(p)
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_check_semicircular)
-
-    p = sub.add_parser("check-rdiagonal", help="is the word generator R-diagonal?")
-    p.add_argument("graph")
-    p.add_argument("word", help="path word, e.g. 'e' or 'e1.e2'")
-    p.add_argument("--max-order", type=int, default=6)
-    _add_backend_opts(p)
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_check_rdiagonal)
-
-    p = sub.add_parser("check-freeness", help="mixed cumulants of two families")
-    p.add_argument("graph")
-    p.add_argument("--family-a", action="append", required=True, metavar="EXPR")
-    p.add_argument("--family-b", action="append", required=True, metavar="EXPR")
-    p.add_argument("--max-order", type=int, default=4)
-    _add_backend_opts(p)
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_check_freeness)
-
-    p = sub.add_parser("audit", help="stated-vs-computed audit table")
-    p.add_argument("graph")
-    p.add_argument("--backend", choices=("both", "fock", "axiomatic"), default="both")
-    p.add_argument("--depth", type=int, default=None)
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_audit)
-
+    expr_help = "element expression, e.g. 'a:l' or 'L[e] + L*[e]'"
+    _add_command(sub, "validate", cmd_validate, "parse a graph file and echo its contents")
+    _add_command(
+        sub, "paths", cmd_paths, "enumerate admissible words up to a length",
+        _arg("--max-len", type=int, default=3),
+    )
+    _add_command(
+        sub, "decompose", cmd_decompose, "free product block decomposition",
+        _arg("--loop-bound", type=int, default=3),
+    )
+    _add_command(
+        sub, "moments", cmd_moments, "diagonal moments E(a^n)",
+        _arg("element", help=expr_help), _max_order(4), backend=True,
+    )
+    _add_command(
+        sub, "cumulants", cmd_cumulants, "diagonal cumulants k_n(a, ..., a)",
+        _arg("element"), _max_order(4), backend=True,
+    )
+    _add_command(
+        sub, "check-semicircular", cmd_check_semicircular, "is the element semicircular?",
+        _arg("element"), _max_order(6), backend=True,
+    )
+    _add_command(
+        sub, "check-rdiagonal", cmd_check_rdiagonal, "is the word generator R-diagonal?",
+        _arg("word", help="path word, e.g. 'e' or 'e1.e2'"), _max_order(6), backend=True,
+    )
+    family = {"action": "append", "required": True, "metavar": "EXPR"}
+    _add_command(
+        sub, "check-freeness", cmd_check_freeness, "mixed cumulants of two families",
+        _arg("--family-a", **family), _arg("--family-b", **family), _max_order(4), backend=True,
+    )
+    _add_command(
+        sub, "audit", cmd_audit, "stated-vs-computed audit table",
+        _arg("--backend", choices=("both", "fock", "axiomatic"), default="both"),
+        _arg("--depth", type=int, default=None),
+    )
     return parser
 
 

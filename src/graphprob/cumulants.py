@@ -335,7 +335,6 @@ def mixed_cumulant_scan(
     *,
     bound: int = DEFAULT_ARITY_BOUND,
     labels=None,
-    functional: CumulantFunctional | None = None,
 ) -> MixedScanReport:
     """Evaluate every mixed cumulant over the adjoint closures of two
     families, orders 1..max_order, and report the nonzero ones.
@@ -364,7 +363,7 @@ def mixed_cumulant_scan(
             flags[x] = [False, True]
             pool.append(x)
 
-    f = functional if functional is not None else CumulantFunctional(bound=bound)
+    f = CumulantFunctional(bound=bound)
     findings = []
     checked = 0
     for n in range(1, max_order + 1):

@@ -220,7 +220,7 @@ def test_semicircularity_one_loop(report):
                 assert val == unit
             else:
                 assert val.is_zero
-        rep = check_semicircular(a, 8, bound=8)
+        rep = check_semicircular(a, 8)
         assert rep.verdict and rep.k2 == unit
         audit = claims_audit(graph, [Backend.axiomatic(), fock])
         rows = {r.id: r for r in audit.rows}

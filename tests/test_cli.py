@@ -12,7 +12,7 @@ from graphprob.cli import (
     parse_element_ast,
 )
 
-from .conftest import fixture_path, load_golden
+from .conftest import GOLDENS, fixture_path, load_golden
 
 ONE_LOOP = str(fixture_path("one_loop"))
 SINGLE_EDGE = str(fixture_path("single_edge"))
@@ -182,6 +182,48 @@ def test_audit_golden(capsys):
     code, out, _ = run(capsys, "audit", ONE_LOOP, "--format", "json")
     assert code == 0
     assert json.loads(out) == load_golden("audit_one_loop.json")
+
+
+def _golden_text(name):
+    return (GOLDENS / name).read_text(encoding="utf-8")
+
+
+MOMENTS_ONE_LOOP = """\
+moments of 1*L*[l] + 1*L[l]  [axiomatic]
+order  value
+-----  -------
+1      0
+2      2*L[@v]
+3      0
+4      6*L[@v]
+"""
+
+CUMULANTS_ONE_LOOP = """\
+cumulants of 1*L*[l] + 1*L[l]  [axiomatic]
+order  value
+-----  --------
+1      0
+2      2*L[@v]
+3      0
+4      -2*L[@v]
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["audit", LOOPS_BRIDGE, "--format", "json"], _golden_text("audit_loops_bridge.json")),
+        (["audit", ONE_LOOP], _golden_text("audit_one_loop.txt")),
+        (["moments", ONE_LOOP, "a:l", "--backend", "axiomatic"], MOMENTS_ONE_LOOP),
+        (["cumulants", ONE_LOOP, "a:l", "--backend", "axiomatic"], CUMULANTS_ONE_LOOP),
+    ],
+    ids=["audit-loops_bridge-json", "audit-one_loop-text", "moments-one_loop-text",
+         "cumulants-one_loop-text"],
+)
+def test_stdout_matches_pinned_bytes(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 def test_audit_exits_zero_on_mismatches(capsys):
