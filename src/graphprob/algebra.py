@@ -325,8 +325,6 @@ class AlgebraElement:
                     m = compose(m1, m2)
                     if m is None:
                         continue
-                    if not fock:
-                        m = cancel_final_segment(m)
                     acc[m] = acc.get(m, Scalar()) + c1 * c2
             return AlgebraElement.make(self.graph, self.backend, acc)
         if isinstance(other, DiagonalElement):

@@ -8,7 +8,11 @@ subtraction recursion
     k_n(a_1, ..., a_n) = E(a_1 ... a_n) - sum over proper non-crossing
     partitions of the nested lower brackets
 
-inverts exactly, without Moebius coefficients.
+inverts exactly, without Moebius coefficients.  Every such sum is taken
+by the first-block recursion: per span, each block holding its first
+position, with gap and tail sums computed once, so a top-level bracket
+visits 2^(n-1) - 1 first blocks, not Catalan(n) - 1 partitions.
+``enumerate_nc`` and ``nested_evaluate`` remain as brute-force reference.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ArityBoundError, DomainError
 from .algebra import AlgebraElement, DiagonalElement
@@ -77,50 +80,39 @@ class NCPartition:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
-@lru_cache(maxsize=None)
-def _nc_of(positions: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    if not positions:
-        return ((),)
-    first, rest = positions[0], positions[1:]
-    out = []
-    for r in range(len(rest) + 1):
+def _first_blocks(lo: int, hi: int):
+    """The blocks of {lo..hi} that contain lo: by size, then lexicographically."""
+    rest = range(lo + 1, hi + 1)
+    for r in range(hi - lo + 1):
         for chosen in itertools.combinations(rest, r):
-            head = (first,) + chosen
-            in_head = set(chosen)
-            remaining = [p for p in rest if p not in in_head]
-            segments = []
-            for i, lo in enumerate(head):
-                hi = head[i + 1] if i + 1 < len(head) else None
-                segments.append(
-                    tuple(p for p in remaining if p > lo and (hi is None or p < hi))
-                )
-            for combo in itertools.product(*(_nc_of(seg) for seg in segments)):
-                blocks = [head]
-                for part in combo:
-                    blocks.extend(part)
-                blocks.sort(key=lambda b: b[0])
-                out.append(tuple(blocks))
+            yield (lo,) + chosen
+
+
+def _nc_of(lo: int, hi: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    if lo > hi:
+        return ((),)
+    out = []
+    for head in _first_blocks(lo, hi):
+        ends = head[1:] + (hi + 1,)
+        parts = [_nc_of(b + 1, e - 1) for b, e in zip(head, ends)]
+        for combo in itertools.product(*parts):
+            out.append(tuple(sorted((head,) + sum(combo, ()))))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _nc_partitions(n: int) -> tuple[NCPartition, ...]:
-    return tuple(NCPartition(n, blocks) for blocks in _nc_of(tuple(range(1, n + 1))))
 
 
 def enumerate_nc(n: int, *, bound: int = DEFAULT_NC_BOUND) -> tuple[NCPartition, ...]:
     """All non-crossing partitions of {1..n}; |result| is the n-th Catalan
-    number.  Memoized per n behind the bound guard."""
+    number.  The brute-force reference for the bracket recursion, which
+    never enumerates; the size bound limits this enumeration only."""
     if n < 1:
         raise DomainError("non-crossing partitions need n >= 1")
     if n > bound:
         raise ArityBoundError(f"enumeration bound exceeded: {n} > {bound}")
-    return _nc_partitions(n)
+    return tuple(NCPartition(n, blocks) for blocks in _nc_of(1, n))
 
 
 class CumulantSource:
-    """Order-indexed brackets with diagonal values, fed to nested
-    partition evaluation.
+    """Order-indexed brackets with diagonal values, summed over nestings.
 
     Subclasses supply ``valuation(args)``; ``absorb(arg, diag)`` dresses
     an argument with a diagonal factor on the right, algebra
@@ -134,8 +126,36 @@ class CumulantSource:
         return arg * diag
 
 
+def _nestings(args, source: CumulantSource, first_blocks) -> DiagonalElement:
+    """Sum the nestings of brackets on positions 1..n whose block at the
+    start of each span (lo, hi) is one of ``first_blocks(lo, hi)``; each
+    span's sum is computed once per call."""
+    memo: dict = {}
+
+    def span(lo: int, hi: int) -> DiagonalElement:
+        if (lo, hi) in memo:
+            return memo[lo, hi]
+        total = None
+        for block in first_blocks(lo, hi):
+            slots = []
+            for b, nxt in zip(block, block[1:] + (None,)):
+                arg = args[b - 1]
+                if nxt is not None and nxt > b + 1:
+                    arg = source.absorb(arg, span(b + 1, nxt - 1))
+                slots.append(arg)
+            val = source.valuation(tuple(slots))
+            if block[-1] < hi and not val.is_zero:
+                val = val * span(block[-1] + 1, hi)
+            total = val if total is None else total + val
+        memo[lo, hi] = total
+        return total
+
+    return span(1, len(args))
+
+
 def nested_evaluate(pi: NCPartition, args, source: CumulantSource) -> DiagonalElement:
-    """Evaluate one non-crossing nesting of brackets.
+    """Evaluate one non-crossing nesting of brackets; summed over
+    ``enumerate_nc``, the brute-force reference for the recursion.
 
     Outer blocks multiply left to right; inside a block, the value of the
     sub-partition nested in a gap right-multiplies the argument before
@@ -146,35 +166,12 @@ def nested_evaluate(pi: NCPartition, args, source: CumulantSource) -> DiagonalEl
         raise DomainError(
             f"arity mismatch: partition of {pi.n}, {len(args)} arguments"
         )
-    owner = {}
-    for bi, block in enumerate(pi.blocks):
-        for pos in block:
-            owner[pos] = bi
-
-    def eval_span(lo: int, hi: int) -> DiagonalElement:
-        total = None
-        pos = lo
-        while pos <= hi:
-            block = pi.blocks[owner[pos]]
-            slots = []
-            for t, b in enumerate(block):
-                arg = args[b - 1]
-                nxt = block[t + 1] if t + 1 < len(block) else None
-                if nxt is not None and nxt > b + 1:
-                    arg = source.absorb(arg, eval_span(b + 1, nxt - 1))
-                slots.append(arg)
-            val = source.valuation(tuple(slots))
-            total = val if total is None else total * val
-            if total.is_zero:
-                return total
-            pos = block[-1] + 1
-        return total
-
-    return eval_span(1, pi.n)
+    starting = {block[0]: block for block in pi.blocks}
+    return _nestings(args, source, lambda lo, hi: (starting[lo],))
 
 
 class CumulantFunctional(CumulantSource):
-    """The cumulants of algebra elements, by the subtraction recursion.
+    """The cumulants of algebra elements, by the first-block recursion.
 
     Values are memoized per argument tuple, so one functional instance
     shared across a scan avoids recomputing lower brackets.
@@ -204,10 +201,10 @@ class CumulantFunctional(CumulantSource):
                 break
         total = prod.expectation()
         if n > 1:
-            for pi in enumerate_nc(n, bound=n):
-                if pi.is_full:
-                    continue
-                total = total - nested_evaluate(pi, args, self)
+            def proper(lo, hi):
+                return (b for b in _first_blocks(lo, hi) if len(b) < n)
+
+            total = total - _nestings(args, self, proper)
         self._memo[args] = total
         return total
 
@@ -231,11 +228,7 @@ def cumulant_to_moment(
         raise DomainError("empty argument tuple")
     if n > bound:
         raise ArityBoundError(f"moment order {n} exceeds bound {bound}")
-    total = None
-    for pi in enumerate_nc(n, bound=n):
-        val = nested_evaluate(pi, args, source)
-        total = val if total is None else total + val
-    return total
+    return _nestings(args, source, _first_blocks)
 
 
 @dataclass(frozen=True)

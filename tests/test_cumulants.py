@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from graphprob import (
     cumulant_to_moment,
     enumerate_nc,
     mixed_cumulant_scan,
+    enumerate_paths,
     moment_to_cumulant,
     parse_word,
 )
@@ -60,6 +62,11 @@ def test_enumerate_is_deterministic_and_noncrossing():
     assert out == enumerate_nc(4)
     assert len(set(out)) == len(out)
     assert NCPartition(4, ((1, 2, 3, 4),)) in out
+    assert [str(pi) for pi in out] == [
+        "{1}{2}{3}{4}", "{1}{2}{3,4}", "{1}{2,3}{4}", "{1}{2,4}{3}", "{1}{2,3,4}",
+        "{1,2}{3}{4}", "{1,2}{3,4}", "{1,3}{2}{4}", "{1,4}{2}{3}", "{1,4}{2,3}",
+        "{1,2,3}{4}", "{1,2,4}{3}", "{1,3,4}{2}", "{1,2,3,4}",
+    ]
 
 
 def test_enumerate_bounds():
@@ -119,6 +126,48 @@ def test_moment_to_cumulant_matches_functional(one_loop):
     a = AlgebraElement.symmetrized_generator(one_loop, AX, parse_word(one_loop, "l"))
     f = CumulantFunctional()
     assert moment_to_cumulant((a, a, a, a), functional=f) == f.valuation((a, a, a, a))
+
+
+@pytest.mark.parametrize("backend", [AX, Backend.fock(12)], ids=["axiomatic", "fock"])
+@pytest.mark.parametrize("name", ["loops_bridge", "lollipop"])
+def test_recursion_matches_partition_sum(graphs, name, backend):
+    """The first-block recursion against the sum over enumerate_nc, on
+    tuples dressed with diagonals on both sides."""
+    g = graphs[name]
+    rng = random.Random(f"{name}-{backend.kind}")
+    pools = []
+    for w in enumerate_paths(g, 1):
+        if not w.is_vertex:
+            x = AlgebraElement.generator(g, backend, w)
+            s = x + x.adjoint()
+            pools.append((x, x.adjoint(), s, s * s))
+
+    def diagonal():
+        return DiagonalElement.make(
+            g, {v: Fraction(rng.choice((-1, 1, 2))) for v in g.vertices}
+        )
+
+    nonzero = 0
+    for _ in range(24):
+        n = rng.randint(2, 6)
+        pool = rng.choice(pools)
+        args = tuple(diagonal() * rng.choice(pool) * diagonal() for _ in range(n))
+        f = CumulantFunctional()
+        k = f.valuation(args)
+        prod = args[0]
+        for x in args[1:]:
+            prod = prod * x
+        want_k = prod.expectation()
+        want_moment = DiagonalElement.zero(g)
+        for pi in enumerate_nc(n):
+            val = nested_evaluate(pi, args, f)
+            want_moment = want_moment + val
+            if not pi.is_full:
+                want_k = want_k - val
+        assert k == want_k
+        assert cumulant_to_moment(args, f) == want_moment
+        nonzero += not k.is_zero
+    assert nonzero > 0
 
 
 # ---- abstract pair source ----
