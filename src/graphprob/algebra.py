@@ -12,17 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BackendMismatchError, DepthError, DomainError
+from .errors import BackendMismatchError, DomainError
 from .graphs import Graph, PathWord, parse_word
-from .operators import (
-    AXIOMATIC,
-    Backend,
-    GeneratorSymbol,
-    Monomial,
-    cancel_final_segment,
-    compose,
-    reduce_word,
-)
+from .operators import Backend, GeneratorSymbol, Monomial, compose, reduce_word
 from .scalars import ONE, Scalar
 
 _ScalarLike = (Scalar, int, Fraction)
@@ -202,12 +194,7 @@ class AlgebraElement:
                 continue
             if m.graph != graph:
                 raise BackendMismatchError("term monomial from a different graph")
-            if backend.kind == AXIOMATIC:
-                m = cancel_final_segment(m)
-            elif max(m.creation.length, m.annihilation.length) > backend.depth:
-                raise DepthError(
-                    max(m.creation.length, m.annihilation.length), backend.depth
-                )
+            m = backend.normal_form(m)
             acc[m] = acc.get(m, Scalar()) + c
         terms = tuple(
             (m, c)
@@ -315,13 +302,10 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._check_compatible(other)
             acc: dict[Monomial, Scalar] = {}
-            fock = self.backend.is_fock
+            gate = self.backend.gate
             for m1, c1 in self.terms:
                 for m2, c2 in other.terms:
-                    if fock:
-                        need = m1.degree + m2.degree
-                        if need > self.backend.depth:
-                            raise DepthError(need, self.backend.depth)
+                    gate(m1.degree + m2.degree)
                     m = compose(m1, m2)
                     if m is None:
                         continue

@@ -24,7 +24,13 @@ FOCK = "fock"
 
 @dataclass(frozen=True)
 class Backend:
-    """Evaluation semantics tag; ``depth`` is the fock basis truncation."""
+    """Evaluation semantics tag; ``depth`` is the fock basis truncation.
+
+    Both kinds run one engine: compose normal forms, then take one
+    normal-form step.  They differ in two decisions, each made here:
+    whether a shared final edge of ``L[pe]L*[qe]`` cancels
+    (``normal_form``) and whether a depth gate applies (``gate``).
+    """
 
     kind: str
     depth: int = 0
@@ -36,6 +42,20 @@ class Backend:
             raise DomainError("depth must be nonnegative")
         if self.kind == AXIOMATIC and self.depth:
             raise DomainError("depth applies to the fock backend only")
+
+    def gate(self, need: int) -> None:
+        """Refuse fock work that needs more than the depth.  The depth
+        changes no value; the axiomatic backend has no gate."""
+        if self.is_fock and need > self.depth:
+            raise DepthError(need, self.depth)
+
+    def normal_form(self, m: Monomial) -> Monomial:
+        """The step after every product: axiomatic cancels shared final
+        edges, fock keeps the monomial and gates its longer side."""
+        if self.is_fock:
+            self.gate(max(m.creation.length, m.annihilation.length))
+            return m
+        return cancel_final_segment(m)
 
     @classmethod
     def axiomatic(cls) -> "Backend":
@@ -189,11 +209,11 @@ def required_depth(symbols: Sequence[GeneratorSymbol]) -> int:
 def reduce_word(backend: Backend, symbols: Sequence[GeneratorSymbol]) -> Monomial | None:
     """Normal form of a generator word, or None for the zero operator.
 
-    Axiomatic: confluent rewriting under the unit, source, range, and
-    partial-isometry laws; the result carries no common final segment.
-    Fock: the word's action on basis vectors as a partial injection,
-    reported as the unique monomial inducing it; the configured depth
-    must cover the word's total edge length, otherwise DepthError.
+    The symbols' monomials are composed left to right, with the
+    backend's normal-form step after each product.  On fock the result
+    is the unique monomial inducing the word's action on basis vectors,
+    and the depth must cover the word's total edge length, otherwise
+    DepthError.
     """
     symbols = list(symbols)
     if not symbols:
@@ -202,18 +222,13 @@ def reduce_word(backend: Backend, symbols: Sequence[GeneratorSymbol]) -> Monomia
     for s in symbols[1:]:
         if s.word.graph != g:
             raise DomainError("mixed-graph generator word")
-    if backend.is_fock:
-        need = required_depth(symbols)
-        if need > backend.depth:
-            raise DepthError(need, backend.depth)
-    acc = Monomial.from_symbol(symbols[0])
-    if backend.kind == AXIOMATIC:
-        acc = cancel_final_segment(acc)
+    backend.gate(required_depth(symbols))
+    acc = backend.normal_form(Monomial.from_symbol(symbols[0]))
     for s in symbols[1:]:
         nxt = compose(acc, Monomial.from_symbol(s))
         if nxt is None:
             return None
-        acc = cancel_final_segment(nxt) if backend.kind == AXIOMATIC else nxt
+        acc = backend.normal_form(nxt)
     return acc
 
 
@@ -226,8 +241,7 @@ def fock_apply(backend: Backend, symbol: GeneratorSymbol, basis: PathWord) -> Pa
     """
     if not backend.is_fock:
         raise DomainError("basis action requires the fock backend")
-    if basis.length > backend.depth:
-        raise DepthError(basis.length, backend.depth)
+    backend.gate(basis.length)
     if symbol.starred:
         return strip_prefix(symbol.word, basis)
     image = concat(symbol.word, basis)

@@ -41,6 +41,21 @@ def test_backend_rejects_bad_shapes():
         Backend("bogus")
 
 
+def test_backend_gate_and_normal_form(one_loop):
+    ax, fk = Backend.axiomatic(), Backend.fock(2)
+    ax.gate(10**6)
+    fk.gate(2)
+    with pytest.raises(DepthError) as err:
+        fk.gate(3)
+    assert (err.value.required, err.value.depth) == (3, 2)
+    l, ll = parse_word(one_loop, "l"), parse_word(one_loop, "l.l")
+    assert ax.normal_form(Monomial(ll, l)) == Monomial.from_symbol(GeneratorSymbol(l))
+    assert fk.normal_form(Monomial(ll, l)) == Monomial(ll, l)
+    with pytest.raises(DepthError) as err:
+        fk.normal_form(Monomial(parse_word(one_loop, "l.l.l"), l))
+    assert (err.value.required, err.value.depth) == (3, 2)
+
+
 # ---- symbols and monomials ----
 
 
