@@ -161,16 +161,12 @@ def check_r_diagonal(
         raise DomainError("R-diagonality concerns path generators, not vertices")
     c = AlgebraElement.generator(graph, backend, word)
     s = AlgebraElement.generator(graph, backend, word, starred=True)
-    names = {c: "a", s: "a*"}
-    f = CumulantFunctional(bound=max_order)
-    findings = []
-    for n in range(1, max_order + 1):
-        for tup in itertools.product((c, s), repeat=n):
-            val = f.valuation(tup)
-            if not val.is_zero:
-                findings.append(ScanFinding(n, tuple(names[x] for x in tup), val))
-    verdict = all(_alternating(f0.pattern) for f0 in findings)
-    return RDiagonalReport(str(word), str(backend), max_order, tuple(findings), verdict)
+    # Each family's adjoint closure is {a, a*}, so every tuple is mixed.
+    scan = mixed_cumulant_scan(
+        [c], [s], max_order, bound=max_order, labels={c: "a", s: "a*"}
+    )
+    verdict = all(_alternating(f.pattern) for f in scan.findings)
+    return RDiagonalReport(str(word), str(backend), max_order, scan.findings, verdict)
 
 
 # ==== freeness ====
