@@ -5,8 +5,9 @@ import pytest
 
 from graphprob import parse_graph
 
+from .pinned import GOLDENS
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
 
 FIXTURE_NAMES = (
     "one_loop",

@@ -12,14 +12,13 @@ from graphprob.cli import (
     parse_element_ast,
 )
 
-from .conftest import GOLDENS, fixture_path, load_golden
+from .conftest import fixture_path, load_golden
+from .pinned import GOLDENS, PINNED, cli_argv
 
 ONE_LOOP = str(fixture_path("one_loop"))
 SINGLE_EDGE = str(fixture_path("single_edge"))
 C3 = str(fixture_path("c3"))
 LOOPS_BRIDGE = str(fixture_path("loops_bridge"))
-BOUQUET3 = str(fixture_path("bouquet3"))
-LOLLIPOP = str(fixture_path("lollipop"))
 
 
 def run(capsys, *argv):
@@ -186,93 +185,13 @@ def test_audit_golden(capsys):
     assert json.loads(out) == load_golden("audit_one_loop.json")
 
 
-def _golden_text(name):
-    return (GOLDENS / name).read_text(encoding="utf-8")
-
-
-MOMENTS_ONE_LOOP = """\
-moments of 1*L*[l] + 1*L[l]  [axiomatic]
-order  value
------  -------
-1      0
-2      2*L[@v]
-3      0
-4      6*L[@v]
-"""
-
-CUMULANTS_ONE_LOOP = """\
-cumulants of 1*L*[l] + 1*L[l]  [axiomatic]
-order  value
------  --------
-1      0
-2      2*L[@v]
-3      0
-4      -2*L[@v]
-"""
-
-# Brackets on graphs with a branching vertex, where the axiomatic product
-# depends on bracketing: these pin the order in which the cumulant
-# recursion multiplies.
-FREENESS_BOUQUET3 = """\
-freeness of {1*L*[l1] + 1*L[l1]} vs {1*L*[l2] + 1*L[l2]}  [axiomatic]
-mixed tuples checked: 22 (orders 1..4)
-order  pattern                                                                           value
------  --------------------------------------------------------------------------------  --------
-4      (1*L*[l1] + 1*L[l1], 1*L*[l2] + 1*L[l2], 1*L*[l2] + 1*L[l2], 1*L*[l1] + 1*L[l1])  -1*L[@v]
-4      (1*L*[l2] + 1*L[l2], 1*L*[l1] + 1*L[l1], 1*L*[l1] + 1*L[l1], 1*L*[l2] + 1*L[l2])  -1*L[@v]
-computed: not free to order 4
-diagram prediction: diagram-distinct
-agreement: disagree
-"""
-
-RDIAGONAL_LOLLIPOP = """\
-R-diagonality of a = L[e]  [axiomatic]
-order  pattern                value
------  ---------------------  ---------
-2      (a, a*)                1*L[@v1]
-2      (a*, a)                1*L[@v2]
-4      (a, a*, a, a*)         -1*L[@v1]
-4      (a*, a, a*, a)         -1*L[@v2]
-6      (a, a*, a, a*, a, a*)  2*L[@v1]
-6      (a*, a, a*, a, a*, a)  2*L[@v2]
-verdict: true (every nonzero bracket alternates a, a*)
-"""
-
-CUMULANTS_BOUQUET3 = """\
-cumulants of 1*L*[l1] + 1*L*[l2] + 1*L[l1] + 1*L[l2]  [axiomatic]
-order  value
------  --------
-1      0
-2      4*L[@v]
-3      0
-4      -6*L[@v]
-5      0
-6      18*L[@v]
-"""
-
-
 @pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (["audit", LOOPS_BRIDGE, "--format", "json"], _golden_text("audit_loops_bridge.json")),
-        (["audit", ONE_LOOP], _golden_text("audit_one_loop.txt")),
-        (["moments", ONE_LOOP, "a:l", "--backend", "axiomatic"], MOMENTS_ONE_LOOP),
-        (["cumulants", ONE_LOOP, "a:l", "--backend", "axiomatic"], CUMULANTS_ONE_LOOP),
-        (["check-freeness", BOUQUET3, "--family-a", "a:l1", "--family-b", "a:l2",
-          "--max-order", "4", "--backend", "axiomatic"], FREENESS_BOUQUET3),
-        (["check-rdiagonal", LOLLIPOP, "e", "--max-order", "6", "--backend", "axiomatic"],
-         RDIAGONAL_LOLLIPOP),
-        (["cumulants", BOUQUET3, "a:l1+a:l2", "--max-order", "6", "--backend", "axiomatic"],
-         CUMULANTS_BOUQUET3),
-    ],
-    ids=["audit-loops_bridge-json", "audit-one_loop-text", "moments-one_loop-text",
-         "cumulants-one_loop-text", "freeness-bouquet3-text", "rdiagonal-lollipop-text",
-         "cumulants-bouquet3-text"],
+    "argv, golden", [case[1:] for case in PINNED], ids=[case[0] for case in PINNED]
 )
-def test_stdout_matches_pinned_bytes(capsys, argv, expected):
-    code, out, err = run(capsys, *argv)
+def test_stdout_matches_pinned_bytes(capsys, argv, golden):
+    code, out, err = run(capsys, *cli_argv(argv))
     assert (code, err) == (0, "")
-    assert out == expected
+    assert out == (GOLDENS / golden).read_text(encoding="utf-8")
 
 
 def test_audit_exits_zero_on_mismatches(capsys):
