@@ -9,6 +9,7 @@ is admissible exactly when ``w1`` ends where ``w2`` starts.  Vertex words
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError, GraphSyntaxError
@@ -56,6 +57,12 @@ class Graph:
                 if v not in self.vertices:
                     raise DomainError(f"edge {e.id} references undeclared vertex {v}")
         object.__setattr__(self, "_edge_map", {e.id: e for e in self.edges})
+        out_degree = Counter(e.initial for e in self.edges)
+        object.__setattr__(
+            self,
+            "_sole_exits",
+            frozenset(e.id for e in self.edges if out_degree[e.initial] == 1),
+        )
         object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
 
     def __hash__(self):
@@ -66,6 +73,11 @@ class Graph:
             return self._edge_map[edge_id]
         except KeyError:
             raise DomainError(f"unknown edge: {edge_id}") from None
+
+    @property
+    def sole_exits(self) -> frozenset[str]:
+        """The edges that are the only edge out of their initial vertex."""
+        return self._sole_exits
 
     def edges_from(self, vertex: str) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.initial == vertex)

@@ -191,9 +191,16 @@ def compose(m1: Monomial, m2: Monomial) -> Monomial | None:
 
 
 def cancel_final_segment(m: Monomial) -> Monomial:
-    """Axiomatic canonical form: drop shared final edges of both sides."""
+    """Axiomatic canonical form: drop the shared final edges of both
+    sides while each is the only edge out of its initial vertex.
+
+    ``L[e]L*[e] = P_v`` is imposed only where ``e`` is the sole edge out
+    of ``v``; cancelling at a branching vertex makes the product depend
+    on bracketing.
+    """
     p, q = m.creation, m.annihilation
-    while p.edges and q.edges and p.edges[-1] == q.edges[-1]:
+    sole = m.graph.sole_exits
+    while p.edges and q.edges and p.edges[-1] == q.edges[-1] and p.edges[-1] in sole:
         p = p.drop_last_edge()
         q = q.drop_last_edge()
     if p is m.creation:

@@ -182,7 +182,11 @@ def test_fock_relations(report):
                     assert apply_generator_word(backend, [proj, proj], u) == once
             audit = claims_audit(graph, [Backend.axiomatic(), Backend.fock(8)])
             rows = {r.id: r for r in audit.rows}
-            assert rows["R1"].verdict == "backend-dependent"
+            # fock never identifies L[e]L*[e] with the vertex projection;
+            # axiomatic does only where e is the sole edge out of its vertex
+            first = graph.edges[0]
+            sole = graph.edges_from(first.initial) == (first,)
+            assert rows["R1"].verdict == ("backend-dependent" if sole else "mismatch")
 
     report("fock-relations", body)
 

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphprob import (
+    AlgebraElement,
     Backend,
     DepthError,
     DomainError,
@@ -10,6 +11,7 @@ from graphprob import (
     Monomial,
     PathWord,
     apply_generator_word,
+    enumerate_paths,
     fock_apply,
     parse_word,
     reduce_word,
@@ -17,6 +19,7 @@ from graphprob import (
 )
 from graphprob.operators import cancel_final_segment, compose
 
+from .conftest import load_fixture
 from .strategies import graphs, symbols
 
 
@@ -159,6 +162,59 @@ def test_cancel_final_segment(one_loop):
     assert cancel_final_segment(Monomial(l, l)) == Monomial.vertex(one_loop, "v")
     assert cancel_final_segment(Monomial(ll, l)) == Monomial(l, v)
     assert cancel_final_segment(Monomial(l, v)) == Monomial(l, v)
+
+
+# ---- associativity of the axiomatic product ----
+
+
+def _reduced_monomials(graph, max_len):
+    paths = enumerate_paths(graph, max_len)
+    out = []
+    for p in paths:
+        for q in paths:
+            if p.final == q.final and cancel_final_segment(Monomial(p, q)) == Monomial(p, q):
+                out.append(Monomial(p, q))
+    return out
+
+
+def _axiomatic_mul(m1, m2):
+    if m1 is None or m2 is None:
+        return None
+    out = compose(m1, m2)
+    return None if out is None else cancel_final_segment(out)
+
+
+@pytest.mark.parametrize(
+    "name, count", [("parallel_edges", 10), ("lollipop", 18), ("c3", 15)]
+)
+def test_axiomatic_product_is_associative_on_short_monomials(name, count):
+    """Every triple of reduced monomials with sides of length <= 2."""
+    monomials = _reduced_monomials(load_fixture(name), 2)
+    mul = _axiomatic_mul
+    bad = [
+        (m1, m2, m3)
+        for m1 in monomials
+        for m2 in monomials
+        for m3 in monomials
+        if mul(mul(m1, m2), m3) != mul(m1, mul(m2, m3))
+    ]
+    assert bad == []
+    assert len(monomials) == count
+
+
+def test_axiomatic_associativity_witnesses():
+    ax = Backend.axiomatic()
+    g = load_fixture("parallel_edges")
+    e1_star = AlgebraElement.generator(g, ax, parse_word(g, "e1"), starred=True)
+    e2 = AlgebraElement.generator(g, ax, parse_word(g, "e2"))
+    e2_star = e2.adjoint()
+    # L[e2]L*[e2] is not the projection at v1, which e1 also leaves
+    assert (e1_star * e2) * e2_star == e1_star * (e2 * e2_star)
+    assert ((e1_star * e2) * e2_star).is_zero
+    b = load_fixture("bouquet3")
+    word = [_sym(b, "l1.l2"), _sym(b, "l1.l2", True), _sym(b, "l2")]
+    assert reduce_word(ax, word) is None
+    assert reduce_word(ax, [s.adjoint() for s in reversed(word)]) is None
 
 
 # ---- basis action ----
