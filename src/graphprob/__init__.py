@@ -3,11 +3,12 @@
 The objects live over a finite directed multigraph: admissible edge words
 form a partial monoid, each word carries a creation generator and its
 adjoint, and the diagonal subalgebra spanned by vertex projections plays
-the role of the scalars.  Two backends realize the same generators, one
-by rewriting from the defining relations, one by acting on a truncated
-path space, and every computation is exact over rational complex
-coefficients.  Analyzers compare moments, cumulants, and structural
-predictions across the two backends.
+the role of the scalars.  Two backends realize the same generators by
+the same rewriting: the axiomatic one also imposes ``L[e]L*[e] = P_v``
+where ``e`` is the sole edge out of ``v``, the fock one never does and
+refuses words longer than its path-space depth.  Every computation is
+exact over rational complex coefficients.  Analyzers compare moments,
+cumulants, and structural predictions across the two backends.
 """
 
 from .algebra import (

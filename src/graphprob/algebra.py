@@ -1,10 +1,10 @@
 """Exact linear combinations of generator normal forms.
 
 Elements carry their graph and backend and stay canonical: terms sorted
-by the monomial order, zero coefficients dropped.  Products route every
-monomial pair through the backend reduction, so axiomatic elements never
-hold a cancellable common final segment and fock elements never pretend
-to act beyond their truncation depth.
+by the monomial order, zero coefficients dropped, every monomial after
+the backend's normal-form step.  Products pass each monomial pair
+through the backend's depth gate and ``compose``; nothing here depends
+on which backend it is.
 """
 
 from __future__ import annotations
@@ -342,10 +342,10 @@ class AlgebraElement:
     def expectation(self) -> DiagonalElement:
         """Compression onto the diagonal: keep the vertex-monomial terms.
 
-        On the fock backend this equals the vertex-vector compression
-        v -> <a xi_v, xi_v>; on the axiomatic backend monomials with equal
-        nonvertex sides cannot survive reduction, so the reading is the
-        same coefficient extraction.
+        The same reading on both backends.  It equals the vertex-vector
+        compression v -> <a xi_v, xi_v>, because only a vertex monomial
+        fixes a vertex vector; the axiomatic backend has already turned
+        L[e]L*[e] into P_v wherever e is the sole edge out of v.
         """
         acc = {}
         for m, c in self.terms:

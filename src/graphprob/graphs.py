@@ -34,7 +34,11 @@ class Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Finite directed multigraph; parallel edges and loop edges allowed."""
+    """Finite directed multigraph; parallel edges and loop edges allowed.
+
+    ``sole_exits`` holds the ids of the edges that are the only edge out
+    of their initial vertex.
+    """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -58,11 +62,8 @@ class Graph:
                     raise DomainError(f"edge {e.id} references undeclared vertex {v}")
         object.__setattr__(self, "_edge_map", {e.id: e for e in self.edges})
         out_degree = Counter(e.initial for e in self.edges)
-        object.__setattr__(
-            self,
-            "_sole_exits",
-            frozenset(e.id for e in self.edges if out_degree[e.initial] == 1),
-        )
+        sole = frozenset(e.id for e in self.edges if out_degree[e.initial] == 1)
+        object.__setattr__(self, "sole_exits", sole)
         object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
 
     def __hash__(self):
@@ -73,11 +74,6 @@ class Graph:
             return self._edge_map[edge_id]
         except KeyError:
             raise DomainError(f"unknown edge: {edge_id}") from None
-
-    @property
-    def sole_exits(self) -> frozenset[str]:
-        """The edges that are the only edge out of their initial vertex."""
-        return self._sole_exits
 
     def edges_from(self, vertex: str) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.initial == vertex)

@@ -1,13 +1,15 @@
-"""Two semantics for words in the creation and annihilation generators.
+"""Generator words and their two-sided normal forms.
 
-Every word over ``{L[w], L*[w]}`` reduces to a single two-sided normal
-form ``L[p]L*[q]`` or to the zero operator.  The axiomatic backend also
-identifies the range projection ``L[c]L*[c]`` with the projection at the
-initial vertex of ``c``, which shortens normal forms by cancelling common
-final segments.  The fock backend keeps those operators distinct: on the
-path-space basis ``L[c]L*[c]`` only fixes vectors with prefix ``c``, a
-proper subprojection of the vertex projection.  The divergence is
-deliberate and surfaces in the analyzers' audit table.
+Every word over ``{L[w], L*[w]}`` reduces to one normal form ``L[p]L*[q]``
+or to zero by one engine: ``compose`` multiplies normal forms as partial
+maps on the path space, and the backend's normal-form step follows each
+product.  The axiomatic backend there cancels a shared final edge,
+``L[pe]L*[qe] -> L[p]L*[q]``, only where ``e`` is the sole edge out of
+its initial vertex; the fock backend never cancels, so ``L[c]L*[c]``
+stays the projection onto paths with prefix ``c``.  The fock depth
+changes no value: it is a gate that raises DepthError on longer words.
+``fock_apply`` and ``apply_generator_word`` are the reference action on
+basis vectors.
 """
 
 from __future__ import annotations
@@ -25,12 +27,8 @@ FOCK = "fock"
 @dataclass(frozen=True)
 class Backend:
     """Evaluation semantics tag; ``depth`` is the fock basis truncation.
-
-    Both kinds run one engine: compose normal forms, then take one
-    normal-form step.  They differ in two decisions, each made here:
-    whether a shared final edge of ``L[pe]L*[qe]`` cancels
-    (``normal_form``) and whether a depth gate applies (``gate``).
-    """
+    The two decisions that tell the kinds apart are ``gate`` and
+    ``normal_form``."""
 
     kind: str
     depth: int = 0
@@ -44,14 +42,12 @@ class Backend:
             raise DomainError("depth applies to the fock backend only")
 
     def gate(self, need: int) -> None:
-        """Refuse fock work that needs more than the depth.  The depth
-        changes no value; the axiomatic backend has no gate."""
+        """Raise DepthError when fock work needs more than the depth."""
         if self.is_fock and need > self.depth:
             raise DepthError(need, self.depth)
 
     def normal_form(self, m: Monomial) -> Monomial:
-        """The step after every product: axiomatic cancels shared final
-        edges, fock keeps the monomial and gates its longer side."""
+        """Axiomatic cancels shared final edges; fock gates the longer side."""
         if self.is_fock:
             self.gate(max(m.creation.length, m.annihilation.length))
             return m
@@ -70,14 +66,10 @@ class Backend:
         return self.kind == FOCK
 
     def __str__(self) -> str:
-        if self.is_fock:
-            return f"fock(depth={self.depth})"
-        return self.kind
+        return f"fock(depth={self.depth})" if self.is_fock else self.kind
 
     def to_json(self) -> dict:
-        if self.is_fock:
-            return {"kind": self.kind, "depth": self.depth}
-        return {"kind": self.kind}
+        return {"kind": self.kind, "depth": self.depth} if self.is_fock else {"kind": self.kind}
 
     @staticmethod
     def from_json(data: dict) -> "Backend":
@@ -191,13 +183,9 @@ def compose(m1: Monomial, m2: Monomial) -> Monomial | None:
 
 
 def cancel_final_segment(m: Monomial) -> Monomial:
-    """Axiomatic canonical form: drop the shared final edges of both
-    sides while each is the only edge out of its initial vertex.
-
-    ``L[e]L*[e] = P_v`` is imposed only where ``e`` is the sole edge out
-    of ``v``; cancelling at a branching vertex makes the product depend
-    on bracketing.
-    """
+    """Axiomatic canonical form: drop shared final edges of both sides
+    while each is the sole edge out of its initial vertex.  Cancelling at
+    a branching vertex would make the product depend on bracketing."""
     p, q = m.creation, m.annihilation
     sole = m.graph.sole_exits
     while p.edges and q.edges and p.edges[-1] == q.edges[-1] and p.edges[-1] in sole:
