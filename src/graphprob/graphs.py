@@ -34,11 +34,7 @@ class Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Finite directed multigraph; parallel edges and loop edges allowed.
-
-    ``sole_exits`` holds the ids of the edges that are the only edge out
-    of their initial vertex.
-    """
+    """Finite directed multigraph; parallel edges and loop edges allowed."""
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -61,6 +57,7 @@ class Graph:
                 if v not in self.vertices:
                     raise DomainError(f"edge {e.id} references undeclared vertex {v}")
         object.__setattr__(self, "_edge_map", {e.id: e for e in self.edges})
+        # sole_exits: the edges that are the only edge out of their initial vertex
         out_degree = Counter(e.initial for e in self.edges)
         sole = frozenset(e.id for e in self.edges if out_degree[e.initial] == 1)
         object.__setattr__(self, "sole_exits", sole)

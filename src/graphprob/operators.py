@@ -27,8 +27,7 @@ FOCK = "fock"
 @dataclass(frozen=True)
 class Backend:
     """Evaluation semantics tag; ``depth`` is the fock basis truncation.
-    The two decisions that tell the kinds apart are ``gate`` and
-    ``normal_form``."""
+    Only ``gate`` and ``normal_form`` tell the kinds apart."""
 
     kind: str
     depth: int = 0
@@ -66,10 +65,14 @@ class Backend:
         return self.kind == FOCK
 
     def __str__(self) -> str:
-        return f"fock(depth={self.depth})" if self.is_fock else self.kind
+        if self.is_fock:
+            return f"fock(depth={self.depth})"
+        return self.kind
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "depth": self.depth} if self.is_fock else {"kind": self.kind}
+        if self.is_fock:
+            return {"kind": self.kind, "depth": self.depth}
+        return {"kind": self.kind}
 
     @staticmethod
     def from_json(data: dict) -> "Backend":
@@ -218,7 +221,7 @@ def reduce_word(backend: Backend, symbols: Sequence[GeneratorSymbol]) -> Monomia
         if s.word.graph != g:
             raise DomainError("mixed-graph generator word")
     backend.gate(required_depth(symbols))
-    acc = backend.normal_form(Monomial.from_symbol(symbols[0]))
+    acc = Monomial.from_symbol(symbols[0])
     for s in symbols[1:]:
         nxt = compose(acc, Monomial.from_symbol(s))
         if nxt is None:

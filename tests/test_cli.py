@@ -12,7 +12,7 @@ from graphprob.cli import (
     parse_element_ast,
 )
 
-from .conftest import fixture_path, load_golden
+from .conftest import fixture_path
 from .pinned import GOLDENS, PINNED, cli_argv
 
 ONE_LOOP = str(fixture_path("one_loop"))
@@ -169,20 +169,6 @@ def test_check_freeness(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["agreement"] == "agree" and data["free_to_order"] is True
-
-
-def test_decompose_golden(capsys):
-    code, out, _ = run(
-        capsys, "decompose", C3, "--loop-bound", "3", "--format", "json"
-    )
-    assert code == 0
-    assert json.loads(out) == load_golden("decompose_c3.json")
-
-
-def test_audit_golden(capsys):
-    code, out, _ = run(capsys, "audit", ONE_LOOP, "--format", "json")
-    assert code == 0
-    assert json.loads(out) == load_golden("audit_one_loop.json")
 
 
 @pytest.mark.parametrize(
