@@ -5,9 +5,7 @@ import pytest
 
 from graphprob import parse_graph
 
-from .pinned import GOLDENS
-
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+from .pinned import FIXTURES, GOLDENS
 
 FIXTURE_NAMES = (
     "one_loop",

@@ -9,6 +9,7 @@ intentional output change is one script run and a reviewable diff.
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 GOLDENS = ROOT / "tests" / "goldens"
 
 # (id, arguments with a fixture name in place of the graph file, golden).
@@ -49,4 +50,4 @@ PINNED = (
 def cli_argv(argv) -> list[str]:
     """The CLI arguments of a pinned case, with the fixture's path."""
     command, fixture, *rest = argv
-    return [command, str(ROOT / "fixtures" / f"{fixture}.graph"), *rest]
+    return [command, str(FIXTURES / f"{fixture}.graph"), *rest]
