@@ -14,13 +14,21 @@ GOLDENS = ROOT / "tests" / "goldens"
 
 # (id, arguments with a fixture name in place of the graph file, golden).
 # The bouquet3 and lollipop brackets run on graphs with a branching
-# vertex, where the axiomatic backend cancels fewer final edges.
+# vertex, where the axiomatic backend cancels fewer final edges.  Every
+# c3 edge is a sole exit, so its axiomatic moments cancel final edges in
+# every product.
 PINNED = (
     ("audit-loops_bridge-json", ("audit", "loops_bridge", "--format", "json"),
      "audit_loops_bridge.json"),
     ("audit-one_loop-text", ("audit", "one_loop"), "audit_one_loop.txt"),
     ("moments-one_loop-text", ("moments", "one_loop", "a:l", "--backend", "axiomatic"),
      "moments_one_loop.txt"),
+    ("moments-c3-text",
+     ("moments", "c3", "a:e1.e2+a:e3", "--max-order", "7", "--backend", "axiomatic"),
+     "moments_c3.txt"),
+    ("moments-lollipop-text",
+     ("moments", "lollipop", "a:l+a:e", "--max-order", "7", "--backend", "axiomatic"),
+     "moments_lollipop.txt"),
     ("cumulants-one_loop-text", ("cumulants", "one_loop", "a:l", "--backend", "axiomatic"),
      "cumulants_one_loop.txt"),
     ("freeness-bouquet3-text",

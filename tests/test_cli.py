@@ -215,13 +215,18 @@ def test_syntax_error_payload(tmp_path, capsys):
 
 
 def test_depth_error_payload(capsys):
-    code, _, err = run(
-        capsys, "moments", ONE_LOOP, "a:l", "--max-order", "4", "--depth", "2"
+    # The bouquet3 request first exceeds its depth in the last product.
+    cases = (
+        ((ONE_LOOP, "a:l", "--max-order", "4", "--depth", "2"), 3, 2),
+        ((str(fixture_path("bouquet3")), "a:l1.l2 + a:l3", "--max-order", "5",
+          "--depth", "9"), 10, 9),
     )
-    assert code == 1
-    payload = json.loads(err)["error"]
-    assert payload["code"] == "depth-insufficient"
-    assert payload["required"] == 3 and payload["depth"] == 2
+    for argv, required, depth in cases:
+        code, _, err = run(capsys, "moments", *argv)
+        assert code == 1
+        payload = json.loads(err)["error"]
+        assert payload["code"] == "depth-insufficient"
+        assert payload["required"] == required and payload["depth"] == depth
 
 
 def test_axiomatic_rejects_depth_flag(capsys):
