@@ -5,6 +5,11 @@ by the monomial order, zero coefficients dropped, every monomial after
 the backend's normal-form step.  Products pass each monomial pair
 through the backend's depth gate and ``compose``; nothing here depends
 on which backend it is.
+
+Where only the expectation of a product is read, ``expect_product``
+joins the two factors' terms on their free-group images and never forms
+the product; ``moments`` meets in the middle with it, folding powers
+only up to half the order.
 """
 
 from __future__ import annotations
@@ -239,6 +244,11 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def degree(self) -> int:
+        """The largest term degree; 0 for the zero element."""
+        return max((m.degree for m, _ in self.terms), default=0)
+
     def coeff(self, m: Monomial) -> Scalar:
         for mm, c in self.terms:
             if mm == m:
@@ -331,6 +341,57 @@ class AlgebraElement:
         for _ in range(k - 1):
             out = out * self
         return out
+
+    def expect_product(self, other: "AlgebraElement") -> DiagonalElement:
+        """``(self * other).expectation()`` without forming the product.
+
+        A vertex monomial has image 1 (``Monomial.image``), and the
+        product preserves images, so a term of ``self`` with image
+        (p', q') meets only the terms of ``other`` with image (q', p').
+        The depth gate scans degrees in the product's term order, so a
+        request that ``self * other`` rejects raises the same DepthError.
+        """
+        self._check_compatible(other)
+        backend = self.backend
+        by_image: dict = {}
+        for m2, c2 in other.terms:
+            by_image.setdefault(m2.image, []).append((m2, c2))
+        top = other.degree
+        acc: dict[str, Scalar] = {}
+        for m1, c1 in self.terms:
+            if not backend.covers(m1.degree + top):
+                for m2, _ in other.terms:
+                    backend.gate(m1.degree + m2.degree)
+            p, q = m1.image
+            for m2, c2 in by_image.get((q, p), ()):
+                m = compose(m1, m2)
+                if m is None:
+                    continue
+                m = backend.normal_form(m)
+                if m.is_vertex:
+                    v = m.creation.initial
+                    acc[v] = acc.get(v, Scalar()) + c1 * c2
+        return DiagonalElement.make(self.graph, acc)
+
+    def moments(self, n: int) -> list[DiagonalElement]:
+        """The moments E(a), ..., E(a^n), met in the middle.
+
+        The powers up to ceil(n/2) are folded as ``power`` folds them, and
+        each higher moment is the ``expect_product`` of two of them.
+        When the backend may not cover n times the largest degree, some
+        fold step could raise, so all n powers are folded and a failing
+        request raises the DepthError that ``power`` raises.
+        """
+        if n < 1:
+            raise DomainError("moments need n >= 1")
+        half = (n + 1) // 2 if self.backend.covers(n * self.degree) else n
+        powers = [self]
+        while len(powers) < half:
+            powers.append(powers[-1] * self)
+        values = [p.expectation() for p in powers]
+        for k in range(half + 1, n + 1):
+            values.append(powers[k - half - 1].expect_product(powers[-1]))
+        return values
 
     def adjoint(self) -> "AlgebraElement":
         acc = {m.adjoint(): c.conjugate() for m, c in self.terms}

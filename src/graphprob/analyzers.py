@@ -476,7 +476,7 @@ def _half_variance(graph: Graph, backend: Backend, word: PathWord) -> DiagonalEl
 
 
 def _fourth_moment(graph: Graph, backend: Backend, word: PathWord) -> DiagonalElement:
-    return AlgebraElement.symmetrized_generator(graph, backend, word).power(4).expectation()
+    return AlgebraElement.symmetrized_generator(graph, backend, word).moments(4)[3]
 
 
 def _vertex_multiple(coeff, value_of):

@@ -284,14 +284,10 @@ def _render_series(args, name: str, a: AlgebraElement, backend: Backend, entries
 
 def cmd_moments(args) -> str:
     backend, (a,) = _prepare(args, [args.element], 1, "max order must be positive")
-    # Each power is the previous one times a, as a.power(n) folds it; the
-    # automatic depth covers exactly max_order factors, so none is formed
-    # beyond that.
-    p = a
-    entries = [(1, a.expectation())]
-    for n in range(2, args.max_order + 1):
-        p = p * a
-        entries.append((n, p.expectation()))
+    # Powers are folded up to half the order and joined pairwise for the
+    # rest; a depth too small for the full fold folds every power, so a
+    # failing request reports the step a.power(n) fails at.
+    entries = list(enumerate(a.moments(args.max_order), start=1))
     return _render_series(args, "moments", a, backend, entries)
 
 

@@ -194,12 +194,14 @@ class CumulantFunctional(CumulantSource):
         cached = self._memo.get(args)
         if cached is not None:
             return cached
+        # The last factor only feeds the expectation, so it is joined on
+        # vertex terms instead of multiplied out.
         prod = args[0]
-        for a in args[1:]:
+        for a in args[1:-1]:
             prod = prod * a
             if prod.is_zero:
                 break
-        total = prod.expectation()
+        total = prod.expect_product(args[-1]) if n > 1 else prod.expectation()
         if n > 1:
             def proper(lo, hi):
                 return (b for b in _first_blocks(lo, hi) if len(b) < n)

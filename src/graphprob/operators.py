@@ -40,9 +40,14 @@ class Backend:
         if self.kind == AXIOMATIC and self.depth:
             raise DomainError("depth applies to the fock backend only")
 
+    def covers(self, need: int) -> bool:
+        """Whether work needing ``need`` basis levels fits; always on
+        axiomatic, up to the depth on fock."""
+        return not self.is_fock or need <= self.depth
+
     def gate(self, need: int) -> None:
         """Raise DepthError when fock work needs more than the depth."""
-        if self.is_fock and need > self.depth:
+        if not self.covers(need):
             raise DepthError(need, self.depth)
 
     def normal_form(self, m: Monomial) -> Monomial:
@@ -148,6 +153,18 @@ class Monomial:
     @property
     def degree(self) -> int:
         return self.creation.length + self.annihilation.length
+
+    @property
+    def image(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The reduced free-group image p'.q'^-1 of L[p]L*[q], as the
+        edges (p', q') left after stripping the shared final edges.
+        ``compose`` and the normal-form step preserve it, and a vertex
+        monomial has image ((), ())."""
+        p, q = self.creation.edges, self.annihilation.edges
+        k = 0
+        while k < len(p) and k < len(q) and p[-1 - k] == q[-1 - k]:
+            k += 1
+        return p[: len(p) - k], q[: len(q) - k]
 
     def adjoint(self) -> "Monomial":
         return Monomial(self.annihilation, self.creation)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,12 @@ from graphprob import (
     Monomial,
     PathWord,
     Scalar,
+    enumerate_paths,
     faithfulness_probe,
     parse_word,
 )
 
+from .conftest import FIXTURE_NAMES, load_fixture
 from .strategies import elements, graphs
 
 AX = Backend.axiomatic()
@@ -265,3 +268,66 @@ def test_mul_is_associative(data):
     y = data.draw(elements(g, b, max_terms=2))
     z = data.draw(elements(g, b, max_terms=2))
     assert (x * y) * z == x * (y * z)
+
+
+# ---- expectation-only products against the full product ----
+
+
+def _outcome(fn):
+    """The value of fn(), or the (required, depth) of its DepthError."""
+    try:
+        return fn()
+    except DepthError as exc:
+        return ("depth-insufficient", exc.required, exc.depth)
+
+
+def _seeded_elements(g, backend, rng, max_len, count):
+    """Sums of up to four normal forms L[p]L*[q], sides of length <= max_len,
+    each followed by its adjoint, so that expectations are often nonzero."""
+    words = enumerate_paths(g, max_len)
+    pairs = [(p, q) for p in words for q in words if p.final == q.final]
+    out = []
+    for _ in range(count):
+        terms = {
+            Monomial(*rng.choice(pairs)): Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+            for _ in range(rng.randint(1, 4))
+        }
+        x = AlgebraElement.make(g, backend, terms)
+        out += [x, x.adjoint()]
+    return out
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_expect_product_matches_product(name):
+    g = load_fixture(name)
+    rng = random.Random(f"expect-product-{name}")
+    seen = {"value": 0, "raised": 0}
+    for backend in (AX, fock(2), fock(3), fock(5), fock(8)):
+        pool = _seeded_elements(g, backend, rng, 2, 6)
+        for _ in range(40):
+            x, y = rng.choice(pool), rng.choice(pool)
+            if rng.random() < 0.5:
+                y = y + x.adjoint()
+            got = _outcome(lambda: x.expect_product(y))
+            assert got == _outcome(lambda: (x * y).expectation())
+            if isinstance(got, tuple):
+                seen["raised"] += 1
+            elif not got.is_zero:
+                seen["value"] += 1
+    assert seen["value"] > 0 and seen["raised"] > 0
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_moments_match_powers(name):
+    g = load_fixture(name)
+    rng = random.Random(f"moments-{name}")
+    n = 5
+    split = 0
+    for backend in (AX, fock(2), fock(5), fock(10)):
+        pool = _seeded_elements(g, backend, rng, 1, 4)
+        for a in pool[::2] + [x + x.adjoint() for x in pool[::2]]:
+            got = _outcome(lambda: a.moments(n))
+            want = _outcome(lambda: [a.power(k).expectation() for k in range(1, n + 1)])
+            assert got == want
+            split += backend.covers(n * a.degree) and any(not v.is_zero for v in got[2:])
+    assert split > 0

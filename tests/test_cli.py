@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphprob import Backend, DomainError, parse_word
+from graphprob import Backend, DomainError, catalan, parse_word
 from graphprob.cli import (
     ast_degree,
     build_element,
@@ -108,6 +108,22 @@ def test_moments_auto_depth_suffices(capsys):
         "value": "5*L[@v]",
         "coeffs": {"v": {"re": "5/1", "im": "0/1"}},
     }
+
+
+def test_moments_of_three_loops_order_ten(capsys):
+    """The sum of three free semicircular loops: 3^k Catalan(k) at order
+    2k, zero at odd orders."""
+    code, out, _ = run(
+        capsys, "moments", str(fixture_path("bouquet3")), "a:l1+a:l2+a:l3",
+        "--max-order", "10", "--format", "json",
+    )
+    assert code == 0
+    got = [row["coeffs"] for row in json.loads(out)["moments"]]
+    want = [
+        {} if n % 2 else {"v": {"re": f"{3 ** (n // 2) * catalan(n // 2)}/1", "im": "0/1"}}
+        for n in range(1, 11)
+    ]
+    assert got == want
 
 
 def test_cumulants_axiomatic(capsys):
