@@ -502,7 +502,7 @@ def faithfulness_probe(graph: Graph, backend: Backend, samples) -> FaithfulnessR
     rows = []
     bad = []
     for a in samples:
-        val = (a.adjoint() * a).expectation()
+        val = a.adjoint().expect_product(a)
         hit = val.is_zero and not a.is_zero
         rows.append(
             FaithfulnessRow(str(a), str(val), val.is_zero, a.is_zero, hit)
