@@ -274,7 +274,7 @@ def test_mul_is_associative(data):
 
 
 def _outcome(fn):
-    """The value of fn(), or the (required, depth) of its DepthError."""
+    """The value of fn(), or the code, required and depth of its DepthError."""
     try:
         return fn()
     except DepthError as exc:
@@ -299,6 +299,8 @@ def _seeded_elements(g, backend, rng, max_len, count):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_expect_product_matches_product(name):
+    """The image join against the full product, from depths too small for
+    some products to depths that cover all of them."""
     g = load_fixture(name)
     rng = random.Random(f"expect-product-{name}")
     seen = {"value": 0, "raised": 0}
@@ -319,6 +321,8 @@ def test_expect_product_matches_product(name):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_moments_match_powers(name):
+    """Meeting in the middle against the fold of full powers; some
+    requests split and give nonzero high moments, others fall back."""
     g = load_fixture(name)
     rng = random.Random(f"moments-{name}")
     n = 5
