@@ -16,7 +16,8 @@ GOLDENS = ROOT / "tests" / "goldens"
 # The bouquet3 and lollipop brackets run on graphs with a branching
 # vertex, where the axiomatic backend cancels fewer final edges.  Every
 # c3 edge is a sole exit, so its axiomatic moments cancel final edges in
-# every product.
+# every product.  The loops_bridge freeness scan and the c3 R-diagonal
+# scan bracket homogeneous elements (one free-group image each) on fock.
 PINNED = (
     ("audit-loops_bridge-json", ("audit", "loops_bridge", "--format", "json"),
      "audit_loops_bridge.json"),
@@ -38,6 +39,13 @@ PINNED = (
     ("rdiagonal-lollipop-text",
      ("check-rdiagonal", "lollipop", "e", "--max-order", "6", "--backend", "axiomatic"),
      "rdiagonal_lollipop.txt"),
+    ("freeness-loops_bridge-text",
+     ("check-freeness", "loops_bridge", "--family-a", "L[a1]", "--family-b", "L[a1.e]",
+      "--max-order", "4"),
+     "freeness_loops_bridge.txt"),
+    ("rdiagonal-c3-json",
+     ("check-rdiagonal", "c3", "e1.e2", "--max-order", "6", "--format", "json"),
+     "rdiagonal_c3.json"),
     ("cumulants-bouquet3-text",
      ("cumulants", "bouquet3", "a:l1+a:l2", "--max-order", "6", "--backend", "axiomatic"),
      "cumulants_bouquet3.txt"),
