@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BackendMismatchError, DomainError
 from .graphs import Graph, PathWord, parse_word
@@ -244,10 +245,20 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
+    @cached_property
     def degree(self) -> int:
         """The largest term degree; 0 for the zero element."""
         return max((m.degree for m, _ in self.terms), default=0)
+
+    @cached_property
+    def image(self) -> tuple[tuple[str, int], ...] | None:
+        """The reduced free-group word (``Monomial.letters``) that every
+        term shares, or None when the terms do not share one or the
+        element is zero.  Products multiply images (``free_product``), and
+        diagonal dressing on either side keeps them."""
+        if not self.terms or len({m.image for m, _ in self.terms}) > 1:
+            return None
+        return self.terms[0][0].letters
 
     def coeff(self, m: Monomial) -> Scalar:
         for mm, c in self.terms:

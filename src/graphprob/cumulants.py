@@ -11,8 +11,15 @@ subtraction recursion
 inverts exactly, without Moebius coefficients.  Every such sum is taken
 by the first-block recursion: per span, each block holding its first
 position, with gap and tail sums computed once, so a top-level bracket
-visits 2^(n-1) - 1 first blocks, not Catalan(n) - 1 partitions.
-``enumerate_nc`` and ``nested_evaluate`` remain as brute-force reference.
+visits at most 2^(n-1) - 1 first blocks, not Catalan(n) - 1 partitions.
+
+Brackets are graded by the free-group image (``AlgebraElement.image``):
+products multiply images and E keeps only image 1, so a bracket whose
+arguments' images multiply to something else is zero.  Where the images
+are known, a bracket evaluates only balanced tuples and visits only the
+first blocks whose gaps and tail are balanced.  An unknown image (a sum
+of differently graded terms) counts as balanced.  ``enumerate_nc`` and
+``nested_evaluate`` remain as the ungraded brute-force reference.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 
 from .errors import ArityBoundError, DomainError
 from .algebra import AlgebraElement, DiagonalElement
+from .operators import free_product
 
 DEFAULT_NC_BOUND = 10
 DEFAULT_ARITY_BOUND = 8
@@ -80,12 +88,30 @@ class NCPartition:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
-def _first_blocks(lo: int, hi: int):
-    """The blocks of {lo..hi} that contain lo: by size, then lexicographically."""
-    rest = range(lo + 1, hi + 1)
-    for r in range(hi - lo + 1):
-        for chosen in itertools.combinations(rest, r):
-            yield (lo,) + chosen
+def _anything(i: int, j: int) -> bool:
+    return True
+
+
+def _first_blocks(lo: int, hi: int, balanced=_anything) -> list[tuple[int, ...]]:
+    """The blocks of {lo..hi} that contain lo: by size, then lexicographically.
+
+    ``balanced(i, j)`` says whether positions i+1..j may carry a nonzero
+    sum; a block skips a gap (b+1..c-1) only when ``balanced(b, c - 1)``
+    and ends at b only when ``balanced(b, hi)``.
+    """
+    out = []
+
+    def grow(block):
+        b = block[-1]
+        if balanced(b, hi):
+            out.append(block)
+        for c in range(b + 1, hi + 1):
+            if c == b + 1 or balanced(b, c - 1):
+                grow(block + (c,))
+
+    grow((lo,))
+    out.sort(key=len)
+    return out
 
 
 def _nc_of(lo: int, hi: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -126,27 +152,33 @@ class CumulantSource:
         return arg * diag
 
 
-def _nestings(args, source: CumulantSource, first_blocks) -> DiagonalElement:
+def _nestings(
+    args, source: CumulantSource, first_blocks, balanced=_anything
+) -> DiagonalElement:
     """Sum the nestings of brackets on positions 1..n whose block at the
-    start of each span (lo, hi) is one of ``first_blocks(lo, hi)``; each
-    span's sum is computed once per call."""
+    start of each span (lo, hi) is one of ``first_blocks(lo, hi, balanced)``;
+    each span's sum is computed once per call, and a span that is not
+    ``balanced(lo - 1, hi)`` is zero."""
     memo: dict = {}
 
     def span(lo: int, hi: int) -> DiagonalElement:
         if (lo, hi) in memo:
             return memo[lo, hi]
         total = None
-        for block in first_blocks(lo, hi):
-            slots = []
-            for b, nxt in zip(block, block[1:] + (None,)):
-                arg = args[b - 1]
-                if nxt is not None and nxt > b + 1:
-                    arg = source.absorb(arg, span(b + 1, nxt - 1))
-                slots.append(arg)
-            val = source.valuation(tuple(slots))
-            if block[-1] < hi and not val.is_zero:
-                val = val * span(block[-1] + 1, hi)
-            total = val if total is None else total + val
+        if balanced(lo - 1, hi):
+            for block in first_blocks(lo, hi, balanced):
+                slots = []
+                for b, nxt in zip(block, block[1:] + (None,)):
+                    arg = args[b - 1]
+                    if nxt is not None and nxt > b + 1:
+                        arg = source.absorb(arg, span(b + 1, nxt - 1))
+                    slots.append(arg)
+                val = source.valuation(tuple(slots))
+                if block[-1] < hi and not val.is_zero:
+                    val = val * span(block[-1] + 1, hi)
+                total = val if total is None else total + val
+        if total is None:
+            total = DiagonalElement.zero(args[0].graph)
         memo[lo, hi] = total
         return total
 
@@ -167,14 +199,40 @@ def nested_evaluate(pi: NCPartition, args, source: CumulantSource) -> DiagonalEl
             f"arity mismatch: partition of {pi.n}, {len(args)} arguments"
         )
     starting = {block[0]: block for block in pi.blocks}
-    return _nestings(args, source, lambda lo, hi: (starting[lo],))
+    return _nestings(args, source, lambda lo, hi, balanced: (starting[lo],))
+
+
+def _grading(args):
+    """``balanced(i, j)`` over positions of ``args``: False only when
+    a_{i+1} ... a_j all have known images and their product is not 1.
+
+    It compares prefix keys (u, w): u counts the unknown images among the
+    arguments so far, w is the reduced product of the images after the
+    last unknown one.
+    """
+    keys = [(0, ())]
+    for a in args:
+        unknown, word = keys[-1]
+        if a.image is None:
+            keys.append((unknown + 1, ()))
+        else:
+            keys.append((unknown, free_product(word, a.image)))
+
+    def balanced(i: int, j: int) -> bool:
+        return keys[i] == keys[j] or keys[i][0] != keys[j][0]
+
+    return balanced
 
 
 class CumulantFunctional(CumulantSource):
-    """The cumulants of algebra elements, by the first-block recursion.
+    """The cumulants of algebra elements, by the graded first-block
+    recursion.
 
     Values are memoized per argument tuple, so one functional instance
-    shared across a scan avoids recomputing lower brackets.
+    shared across a scan avoids recomputing lower brackets.  Grading
+    applies when the backend covers the arguments' total degree, the
+    bound on every product's degree.  Otherwise every block is visited, in
+    the same order, so a failing request raises the same DepthError.
     """
 
     def __init__(self, *, bound: int = DEFAULT_ARITY_BOUND):
@@ -194,19 +252,24 @@ class CumulantFunctional(CumulantSource):
         cached = self._memo.get(args)
         if cached is not None:
             return cached
-        # The last factor only feeds the expectation, so it is joined on
-        # vertex terms instead of multiplied out.
-        prod = args[0]
-        for a in args[1:-1]:
-            prod = prod * a
-            if prod.is_zero:
-                break
-        total = prod.expect_product(args[-1]) if n > 1 else prod.expectation()
-        if n > 1:
-            def proper(lo, hi):
-                return (b for b in _first_blocks(lo, hi) if len(b) < n)
+        balanced = _anything
+        if args[0].backend.covers(sum(a.degree for a in args)):
+            balanced = _grading(args)
+        total = DiagonalElement.zero(graph)
+        if balanced(0, n):
+            # The last factor only feeds the expectation, so it is joined
+            # on vertex terms instead of multiplied out.
+            prod = args[0]
+            for a in args[1:-1]:
+                prod = prod * a
+                if prod.is_zero:
+                    break
+            total = prod.expect_product(args[-1]) if n > 1 else prod.expectation()
+            if n > 1:
+                def proper(lo, hi, balanced):
+                    return [b for b in _first_blocks(lo, hi, balanced) if len(b) < n]
 
-            total = total - _nestings(args, self, proper)
+                total = total - _nestings(args, self, proper, balanced)
         self._memo[args] = total
         return total
 

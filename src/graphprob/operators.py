@@ -166,6 +166,13 @@ class Monomial:
             k += 1
         return p[: len(p) - k], q[: len(q) - k]
 
+    @property
+    def letters(self) -> tuple[tuple[str, int], ...]:
+        """The image as a reduced letter word: the edges of p' as
+        ``(edge, 1)``, then those of q' in reverse as ``(edge, -1)``."""
+        p, q = self.image
+        return tuple((e, 1) for e in p) + tuple((e, -1) for e in reversed(q))
+
     def adjoint(self) -> "Monomial":
         return Monomial(self.annihilation, self.creation)
 
@@ -200,6 +207,14 @@ def compose(m1: Monomial, m2: Monomial) -> Monomial | None:
     if over is not None and not over.is_vertex:
         return Monomial(m1.creation, concat(m2.annihilation, over))
     return None
+
+
+def free_product(u: tuple, v: tuple) -> tuple:
+    """The reduced product of two reduced letter words."""
+    k = 0
+    while k < len(u) and k < len(v) and u[-1 - k] == (v[k][0], -v[k][1]):
+        k += 1
+    return u[: len(u) - k] + v[k:]
 
 
 def cancel_final_segment(m: Monomial) -> Monomial:

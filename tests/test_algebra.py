@@ -20,6 +20,8 @@ from graphprob import (
     parse_word,
 )
 
+from graphprob.operators import compose, free_product
+
 from .conftest import FIXTURE_NAMES, load_fixture
 from .strategies import elements, graphs
 
@@ -335,3 +337,41 @@ def test_moments_match_powers(name):
             assert got == want
             split += backend.covers(n * a.degree) and any(not v.is_zero for v in got[2:])
     assert split > 0
+
+
+# ---- free-group images ----
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_image_law(name):
+    """Normal forms multiply images, a mixed sum and zero have none, and
+    diagonal dressing keeps an element's image."""
+    g = load_fixture(name)
+    rng = random.Random(f"image-{name}")
+    words = enumerate_paths(g, 2)
+    pairs = [(p, q) for p in words for q in words if p.final == q.final]
+    composed = 0
+    for backend in (AX, fock(8)):
+        monomials = [backend.normal_form(Monomial(p, q)) for p, q in pairs]
+        for _ in range(150):
+            m1, m2 = rng.choice(monomials), rng.choice(monomials)
+            m = compose(m1, m2)
+            if m is not None:
+                composed += 1
+                assert backend.normal_form(m).letters == free_product(m1.letters, m2.letters)
+
+        e = parse_word(g, g.edges[0].id)
+        x = AlgebraElement.generator(g, backend, e)
+        assert x.image == ((e.edges[0], 1),)
+        assert x.adjoint().image == ((e.edges[0], -1),)
+        assert (x + x.adjoint()).image is None
+        assert AlgebraElement.zero(g, backend).image is None
+        for m in rng.sample(monomials, min(8, len(monomials))):
+            # every normal form with m's image, e.g. L[pe]L*[qe] next to L[p]L*[q]
+            y = AlgebraElement.make(
+                g, backend, {n: rng.choice((1, -2)) for n in monomials if n.image == m.image}
+            )
+            d = DiagonalElement.make(g, {v: rng.choice((1, 2, 3)) for v in g.vertices})
+            for dressed in (d * y, y * d, d * y * d):
+                assert dressed.image == y.image == m.letters
+    assert composed > 0

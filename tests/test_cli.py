@@ -232,13 +232,17 @@ def test_syntax_error_payload(tmp_path, capsys):
 
 def test_depth_error_payload(capsys):
     # The bouquet3 request first exceeds its depth in the last product.
+    # The c3 scan first exceeds it in a bracket whose images do not
+    # multiply to 1, which is evaluated because the depth is too small.
     cases = (
-        ((ONE_LOOP, "a:l", "--max-order", "4", "--depth", "2"), 3, 2),
-        ((str(fixture_path("bouquet3")), "a:l1.l2 + a:l3", "--max-order", "5",
+        (("moments", ONE_LOOP, "a:l", "--max-order", "4", "--depth", "2"), 3, 2),
+        (("moments", str(fixture_path("bouquet3")), "a:l1.l2 + a:l3", "--max-order", "5",
           "--depth", "9"), 10, 9),
+        (("check-freeness", C3, "--family-a", "L[e1.e2]", "--family-b", "L[e3]",
+          "--max-order", "5", "--depth", "2"), 3, 2),
     )
     for argv, required, depth in cases:
-        code, _, err = run(capsys, "moments", *argv)
+        code, _, err = run(capsys, *argv)
         assert code == 1
         payload = json.loads(err)["error"]
         assert payload["code"] == "depth-insufficient"

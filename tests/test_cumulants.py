@@ -20,13 +20,16 @@ from graphprob import (
     parse_word,
 )
 from graphprob.cumulants import (
+    CumulantSource,
     PairSource,
     catalan,
     dressed_tags,
     nested_evaluate,
 )
 from graphprob.errors import ArityBoundError
+from graphprob.operators import free_product
 
+from .conftest import FIXTURE_NAMES, load_fixture
 from .strategies import elements, graphs
 
 AX = Backend.axiomatic()
@@ -168,6 +171,86 @@ def test_recursion_matches_partition_sum(graphs, name, backend):
         assert cumulant_to_moment(args, f) == want_moment
         nonzero += not k.is_zero
     assert nonzero > 0
+
+
+class PartitionSumSource(CumulantSource):
+    """k_n by definition: E(a_1 ... a_n) minus the partition sum over the
+    non-full members of ``enumerate_nc``, memoized and never graded."""
+
+    def __init__(self):
+        self.memo = {}
+
+    def valuation(self, args):
+        args = tuple(args)
+        if args not in self.memo:
+            prod = args[0]
+            for x in args[1:]:
+                prod = prod * x
+            total = prod.expectation()
+            for pi in enumerate_nc(len(args)):
+                if not pi.is_full:
+                    total = total - nested_evaluate(pi, args, self)
+            self.memo[args] = total
+        return self.memo[args]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_graded_recursion_matches_partition_sums(name):
+    """The graded functional against the ungraded brute force on dressed
+    tuples, on both backends, by thirds: random homogeneous tuples (mostly
+    unbalanced), balanced homogeneous tuples, and balanced tuples with one
+    argument replaced by a sum of no single image."""
+    g = load_fixture(name)
+    rng = random.Random(f"graded-{name}")
+    words = [w for w in enumerate_paths(g, 2) if not w.is_vertex]
+
+    def diagonal():
+        return DiagonalElement.make(
+            g, {v: Fraction(rng.choice((-1, 1, 2))) for v in g.vertices}
+        )
+
+    def balanced(gens, n):
+        """n arguments whose images multiply to 1: pairs L*[w] ... L[w]
+        nested like brackets, and projections L[w]L*[w]."""
+        x = rng.choice(gens[::2])
+        if n < 2 or rng.random() < 0.5:
+            return [x * x.adjoint(), *balanced(gens, n - 1)] if n else []
+        inner = rng.choice((n - 2, rng.randrange(n - 1)))
+        return [x.adjoint(), *balanced(gens, inner), x, *balanced(gens, n - 2 - inner)]
+
+    seen = {"unbalanced": 0, "graded nonzero": 0, "sums": 0, "sums nonzero": 0}
+    for backend in (AX, Backend.fock(24)):
+        oracle, f = PartitionSumSource(), CumulantFunctional()
+        for i in range(36):
+            gens = []
+            for w in rng.sample(words, min(len(words), rng.choice((1, 2)))):
+                x = AlgebraElement.generator(g, backend, w)
+                gens += [x, x.adjoint()]
+            n = rng.randint(2, 6)
+            if i == 0:  # k_3(L*[w], L[w]L*[w], L[w]) is a vertex projection
+                n, picked = 3, [gens[1], gens[0] * gens[1], gens[0]]
+            elif i % 3:
+                picked = balanced(gens, n)
+                if i % 3 == 2:
+                    j = rng.randrange(n)
+                    picked[j] = picked[j] + picked[j].adjoint()
+            else:
+                pool = gens + [x * x.adjoint() for x in gens]
+                picked = [rng.choice(pool) for _ in range(n)]
+            args = tuple(diagonal() * x * diagonal() for x in picked)
+            k = f.valuation(args)
+            assert k == oracle.valuation(args)
+            images = [a.image for a in args]
+            if None in images:
+                seen["sums"] += 1
+                seen["sums nonzero"] += not k.is_zero
+            else:
+                product = ()
+                for image in images:
+                    product = free_product(product, image)
+                seen["unbalanced"] += product != ()
+                seen["graded nonzero"] += n > 2 and not k.is_zero
+    assert all(seen.values()), seen
 
 
 # ---- abstract pair source ----
