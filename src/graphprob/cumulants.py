@@ -152,31 +152,28 @@ class CumulantSource:
         return arg * diag
 
 
-def _nestings(
-    args, source: CumulantSource, first_blocks, balanced=_anything
-) -> DiagonalElement:
+def _nestings(args, source: CumulantSource, first_blocks) -> DiagonalElement:
     """Sum the nestings of brackets on positions 1..n whose block at the
-    start of each span (lo, hi) is one of ``first_blocks(lo, hi, balanced)``;
-    each span's sum is computed once per call, and a span that is not
-    ``balanced(lo - 1, hi)`` is zero."""
+    start of each span (lo, hi) is one of ``first_blocks(lo, hi)``; each
+    span's sum is computed once per call, and a span with no block is
+    zero."""
     memo: dict = {}
 
     def span(lo: int, hi: int) -> DiagonalElement:
         if (lo, hi) in memo:
             return memo[lo, hi]
         total = None
-        if balanced(lo - 1, hi):
-            for block in first_blocks(lo, hi, balanced):
-                slots = []
-                for b, nxt in zip(block, block[1:] + (None,)):
-                    arg = args[b - 1]
-                    if nxt is not None and nxt > b + 1:
-                        arg = source.absorb(arg, span(b + 1, nxt - 1))
-                    slots.append(arg)
-                val = source.valuation(tuple(slots))
-                if block[-1] < hi and not val.is_zero:
-                    val = val * span(block[-1] + 1, hi)
-                total = val if total is None else total + val
+        for block in first_blocks(lo, hi):
+            slots = []
+            for b, nxt in zip(block, block[1:] + (None,)):
+                arg = args[b - 1]
+                if nxt is not None and nxt > b + 1:
+                    arg = source.absorb(arg, span(b + 1, nxt - 1))
+                slots.append(arg)
+            val = source.valuation(tuple(slots))
+            if block[-1] < hi and not val.is_zero:
+                val = val * span(block[-1] + 1, hi)
+            total = val if total is None else total + val
         if total is None:
             total = DiagonalElement.zero(args[0].graph)
         memo[lo, hi] = total
@@ -199,7 +196,7 @@ def nested_evaluate(pi: NCPartition, args, source: CumulantSource) -> DiagonalEl
             f"arity mismatch: partition of {pi.n}, {len(args)} arguments"
         )
     starting = {block[0]: block for block in pi.blocks}
-    return _nestings(args, source, lambda lo, hi, balanced: (starting[lo],))
+    return _nestings(args, source, lambda lo, hi: (starting[lo],))
 
 
 def _grading(args):
@@ -266,10 +263,12 @@ class CumulantFunctional(CumulantSource):
                     break
             total = prod.expect_product(args[-1]) if n > 1 else prod.expectation()
             if n > 1:
-                def proper(lo, hi, balanced):
+                # Gaps and tails of graded blocks are balanced spans, so
+                # every span the walk reaches is balanced.
+                def proper(lo, hi):
                     return [b for b in _first_blocks(lo, hi, balanced) if len(b) < n]
 
-                total = total - _nestings(args, self, proper, balanced)
+                total = total - _nestings(args, self, proper)
         self._memo[args] = total
         return total
 
