@@ -14,13 +14,13 @@ only up to half the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import BackendMismatchError, DomainError
 from .graphs import Graph, PathWord, parse_word
 from .operators import Backend, GeneratorSymbol, Monomial, compose, reduce_word
+from .records import Record
 from .scalars import ONE, Scalar
 
 _ScalarLike = (Scalar, int, Fraction)
@@ -34,8 +34,7 @@ def _scalar(x) -> Scalar:
     raise TypeError(f"not a scalar: {x!r}")
 
 
-@dataclass(frozen=True)
-class DiagonalElement:
+class DiagonalElement(Record):
     """An element of the diagonal subalgebra: one scalar per vertex.
 
     Products, sums, and powers are pointwise; the diagonal is commutative.
@@ -43,6 +42,11 @@ class DiagonalElement:
 
     graph: Graph
     coeffs: tuple[tuple[str, Scalar], ...]
+
+    def __init__(self, graph: Graph, coeffs: tuple[tuple[str, Scalar], ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         last = None
@@ -167,21 +171,25 @@ class DiagonalElement:
         return " + ".join(f"{c}*L[@{v}]" for v, c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class Support:
+class Support(Record):
     """Vertex and path words carrying nonzero coefficients."""
 
     vertex_support: tuple[str, ...]
     path_support: tuple[PathWord, ...]
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     """A finite linear combination of monomials under one backend."""
 
     graph: Graph
     backend: Backend
     terms: tuple[tuple[Monomial, Scalar], ...]
+
+    def __init__(self, graph: Graph, backend: Backend, terms: tuple[tuple[Monomial, Scalar], ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(
@@ -469,8 +477,7 @@ class AlgebraElement:
         return " + ".join(f"{c}*{m.display()}" for m, c in self.terms)
 
 
-@dataclass(frozen=True)
-class FaithfulnessRow:
+class FaithfulnessRow(Record):
     element: str
     expectation_value: str
     expectation_is_zero: bool
@@ -478,8 +485,7 @@ class FaithfulnessRow:
     counterexample: bool
 
 
-@dataclass(frozen=True)
-class FaithfulnessReport:
+class FaithfulnessReport(Record):
     """Outcome of probing E(a* a) = 0 => a = 0 on a sample list."""
 
     backend: str

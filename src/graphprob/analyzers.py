@@ -9,7 +9,6 @@ actually computes; disagreement is data, not an error.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -26,6 +25,7 @@ from .cumulants import (
 from .errors import DomainError
 from .graphs import Graph, PathWord, classify_edges, diagram_distinct, enumerate_paths, primitive_root
 from .operators import Backend
+from .records import Record
 
 
 def format_table(headers, rows) -> str:
@@ -60,8 +60,7 @@ def build_semicircular_system(graph: Graph, backend: Backend, loops) -> list[Alg
     return [AlgebraElement.symmetrized_generator(graph, backend, w) for w in loops]
 
 
-@dataclass(frozen=True)
-class SemicircularReport:
+class SemicircularReport(Record):
     element: str
     backend: str
     max_checked_order: int
@@ -118,8 +117,7 @@ def check_semicircular(a: AlgebraElement, max_order: int) -> SemicircularReport:
 # ==== R-diagonality ====
 
 
-@dataclass(frozen=True)
-class RDiagonalReport:
+class RDiagonalReport(Record):
     word: str
     backend: str
     max_checked_order: int
@@ -172,8 +170,7 @@ def check_r_diagonal(
 # ==== freeness ====
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(Record):
     family_a: tuple[str, ...]
     family_b: tuple[str, ...]
     backend: str
@@ -258,14 +255,12 @@ def check_freeness(family_a, family_b, max_order: int) -> FreenessReport:
 # ==== free product decomposition ====
 
 
-@dataclass(frozen=True)
-class DiagonalBlock:
+class DiagonalBlock(Record):
     vertices: tuple[str, ...]
     label: str
 
 
-@dataclass(frozen=True)
-class EdgeBlock:
+class EdgeBlock(Record):
     edge: str
     kind: str
     base: tuple[str, ...]
@@ -273,16 +268,14 @@ class EdgeBlock:
     hint: str | None
 
 
-@dataclass(frozen=True)
-class BasicLoopRow:
+class BasicLoopRow(Record):
     word: str
     vertex: str
     factorization: tuple[str, ...]
     generated_by: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Record):
     """Free-product block picture: the diagonal plus one block per edge,
     with a finer view listing basic loops generated by those blocks."""
 
@@ -412,8 +405,7 @@ def decompose(graph: Graph, loop_length_bound: int = 3) -> DecompositionReport:
 # ==== stated-vs-computed audit ====
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(Record):
     id: str
     claim: str
     stated: str
@@ -430,8 +422,7 @@ class AuditRow:
         }
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     graph_summary: str
     backends: tuple[str, ...]
     rows: tuple[AuditRow, ...]

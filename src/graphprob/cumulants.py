@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import ArityBoundError, DomainError
 from .algebra import AlgebraElement, DiagonalElement
 from .operators import free_product
+from .records import Record
 
 DEFAULT_NC_BOUND = 10
 DEFAULT_ARITY_BOUND = 8
@@ -54,8 +54,7 @@ def _blocks_cross(b1, b2) -> bool:
     return switches >= 3
 
 
-@dataclass(frozen=True)
-class NCPartition:
+class NCPartition(Record):
     """A non-crossing partition of {1, ..., n}, blocks ordered by minimum."""
 
     n: int
@@ -295,8 +294,7 @@ def cumulant_to_moment(
     return _nestings(args, source, _first_blocks)
 
 
-@dataclass(frozen=True)
-class DressedTag:
+class DressedTag(Record):
     """Opaque argument for abstract sources, carrying the diagonal
     dressing accumulated from nested gaps."""
 
@@ -333,8 +331,7 @@ class PairSource(CumulantSource):
         return DressedTag(arg.tag, arg.right * diag)
 
 
-@dataclass(frozen=True)
-class ScanFinding:
+class ScanFinding(Record):
     order: int
     pattern: tuple[str, ...]
     value: DiagonalElement
@@ -348,8 +345,7 @@ class ScanFinding:
         }
 
 
-@dataclass(frozen=True)
-class MixedScanReport:
+class MixedScanReport(Record):
     """All nonzero mixed cumulants between two families, up to an order."""
 
     family_a: tuple[str, ...]

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import DomainError, GraphSyntaxError
+from .records import Record
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _EDGE_LINE = re.compile(
@@ -21,8 +21,7 @@ _EDGE_LINE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     id: str
     initial: str
     final: str
@@ -32,8 +31,7 @@ class Edge:
         return self.initial == self.final
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Finite directed multigraph; parallel edges and loop edges allowed."""
 
     vertices: tuple[str, ...]
@@ -133,14 +131,20 @@ def parse_graph(text: str) -> Graph:
     return Graph(tuple(vertices), tuple(edges))
 
 
-@dataclass(frozen=True)
-class PathWord:
+class PathWord(Record):
     """An admissible path, or a vertex word when ``edges`` is empty."""
 
     graph: Graph
     edges: tuple[str, ...]
     initial: str
     final: str
+
+    def __init__(self, graph: Graph, edges: tuple[str, ...], initial: str, final: str):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "final", final)
+        self.__post_init__()
 
     def __post_init__(self):
         g = self.graph
@@ -315,8 +319,7 @@ def diagram_distinct(w1: PathWord, w2: PathWord) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EdgeClasses:
+class EdgeClasses(Record):
     """Partition of the edge set into loop edges and the rest."""
 
     eloop: tuple[str, ...]

@@ -14,18 +14,17 @@ basis vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DepthError, DomainError
 from .graphs import Graph, PathWord, concat, strip_prefix
+from .records import Record
 
 AXIOMATIC = "axiomatic"
 FOCK = "fock"
 
 
-@dataclass(frozen=True)
-class Backend:
+class Backend(Record):
     """Evaluation semantics tag; ``depth`` is the fock basis truncation.
     Only ``gate`` and ``normal_form`` tell the kinds apart."""
 
@@ -84,8 +83,7 @@ class Backend:
         return Backend(data["kind"], data.get("depth", 0))
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
+class GeneratorSymbol(Record):
     """One letter L[w] or L*[w]; vertex generators are self-adjoint."""
 
     word: PathWord
@@ -102,8 +100,7 @@ class GeneratorSymbol:
         return f"L*[{self.word}]" if self.starred else f"L[{self.word}]"
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """Normal form L[p]L*[q]; p and q must end at the same vertex.
 
     As a partial map on basis words it strips the prefix q and glues the
@@ -114,6 +111,11 @@ class Monomial:
 
     creation: PathWord
     annihilation: PathWord
+
+    def __init__(self, creation: PathWord, annihilation: PathWord):
+        object.__setattr__(self, "creation", creation)
+        object.__setattr__(self, "annihilation", annihilation)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.creation.graph != self.annihilation.graph:

@@ -1,0 +1,75 @@
+"""Immutable value records without ``dataclasses``.
+
+``Record`` gives a subclass what ``@dataclass(frozen=True)`` would
+generate: fields, construction, equality, hash and repr.  Importing
+``dataclasses`` loads ``inspect`` and compiles every class's methods with
+``exec``, which costs each short command tens of milliseconds at start-up.
+"""
+
+from operator import attrgetter
+
+
+class Record:
+    """Base of the package's frozen value types.
+
+    A subclass's fields are its own annotations, in order, and a class
+    attribute of the same name is that field's default.  Instances are
+    equal only within one class, with equal field tuples, and hash as
+    their field tuple.  A subclass may define ``__post_init__`` to check
+    or derive state, and a positional ``__init__`` for speed that sets
+    each field with ``object.__setattr__`` and then calls
+    ``self.__post_init__()``.  Fields are set that way, not through
+    ``self.__dict__``, because reading ``__dict__`` turns the instance's
+    inline attribute values into a separate dict, and every later
+    attribute read gets slower.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        getter = attrgetter(*fields)
+        cls._values = staticmethod(getter if len(fields) > 1 else lambda obj: (getter(obj),))
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)} arguments")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected field {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for field {key!r}")
+            values[key] = value
+        for f in fields:
+            if f in values:
+                object.__setattr__(self, f, values[f])
+            elif f in self._defaults:
+                object.__setattr__(self, f, self._defaults[f])
+            else:
+                raise TypeError(f"{name}() missing field {f!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .records import Record
+
+_ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
@@ -18,15 +21,19 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(Record):
     """A complex number re + im*i with exact rational parts.
 
     Equality is exact; there is no tolerance anywhere in the package.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    re: Fraction = _ZERO
+    im: Fraction = _ZERO
+
+    def __init__(self, re: Fraction = _ZERO, im: Fraction = _ZERO):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        self.__post_init__()
 
     @staticmethod
     def of(re, im=0) -> "Scalar":

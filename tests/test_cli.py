@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from graphprob.cli import (
 )
 
 from .conftest import fixture_path
-from .pinned import GOLDENS, PINNED, cli_argv
+from .pinned import GOLDENS, PINNED, ROOT, cli_argv
 
 ONE_LOOP = str(fixture_path("one_loop"))
 SINGLE_EDGE = str(fixture_path("single_edge"))
@@ -275,3 +277,18 @@ def test_audit_loops_bridge_has_all_rows(capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert [r["id"] for r in rows] == ["R1", "R2", "R3", "R4", "R5", "R6"]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Importing dataclasses pulls in inspect, ast, dis and tokenize, and
+    # building each dataclass compiles its methods: tens of milliseconds
+    # on every command.  -S keeps site hooks from loading modules first.
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import graphprob.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == ""

@@ -1,0 +1,168 @@
+"""The ``Record`` contract: what a frozen dataclass would give each value
+type, checked on every ``Record`` subclass in the package."""
+
+import inspect
+from fractions import Fraction
+
+import pytest
+
+from graphprob.algebra import AlgebraElement, DiagonalElement, Support
+from graphprob.graphs import Edge, EdgeClasses, PathWord, parse_word
+from graphprob.operators import Backend, GeneratorSymbol, Monomial
+from graphprob.records import Record
+from graphprob.scalars import Scalar
+
+RECORDS = sorted(
+    (cls for cls in Record.__subclasses__() if cls.__module__.startswith("graphprob.")),
+    key=lambda cls: (cls.__module__, cls.__name__),
+)
+# The classes that define a positional __init__ for speed.
+FAST_INIT = (Scalar, PathWord, Monomial, DiagonalElement, AlgebraElement)
+
+
+def _raw(cls, values):
+    """An instance with the given field values, without the class's own
+    checks, so the base class's behaviour can be tested on every class."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _values(cls, tag):
+    return tuple(f"{tag}{i}" for i in range(len(cls._fields)))
+
+
+def test_every_value_type_is_a_record():
+    assert len(RECORDS) >= 26
+    assert all(cls._fields for cls in RECORDS)
+    assert set(FAST_INIT) <= set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_fields_are_frozen(cls):
+    obj = _raw(cls, _values(cls, "x"))
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, "y")
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) != "y"
+    with pytest.raises(AttributeError):
+        obj.not_a_field = 1
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_equality_and_hash_follow_the_field_tuple(cls):
+    values = _values(cls, "x")
+    a, b, c = _raw(cls, values), _raw(cls, values), _raw(cls, _values(cls, "z"))
+    assert a == b and not a != b
+    assert a != c
+    assert a != values
+    if "__hash__" not in vars(cls):
+        assert hash(a) == hash(values) == hash(b)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_repr_has_the_dataclass_format(cls):
+    if "__repr__" in vars(cls):
+        return
+    obj = _raw(cls, _values(cls, "x"))
+    body = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, _values(cls, "x")))
+    assert repr(obj) == f"{cls.__name__}({body})"
+    if "__str__" not in vars(cls):
+        assert str(obj) == repr(obj)
+
+
+@pytest.mark.parametrize("cls", FAST_INIT, ids=lambda cls: cls.__name__)
+def test_fast_init_takes_the_fields_in_order(cls):
+    params = list(inspect.signature(cls.__init__).parameters)
+    assert params == ["self", *cls._fields]
+
+
+def test_equality_is_per_class():
+    assert Support(("v",), ()) != EdgeClasses(("v",), ())
+    assert EdgeClasses(("v",), ()) != Support(("v",), ())
+    assert Scalar() != (Fraction(0), Fraction(0))
+    assert (Fraction(0), Fraction(0)) != Scalar()
+    assert Scalar.of(1, 2) == Scalar(Fraction(1), Fraction(2))
+
+
+def test_defaults():
+    assert Scalar() == Scalar(Fraction(0), Fraction(0))
+    assert Scalar(im=Fraction(1)) == Scalar(Fraction(0), Fraction(1))
+    assert Backend("axiomatic").depth == 0
+    assert Backend.fock(3) == Backend("fock", 3) == Backend(kind="fock", depth=3)
+    assert Backend.fock(3) != Backend("fock", 4)
+
+
+def test_generator_symbol_default(one_loop):
+    w = parse_word(one_loop, "l")
+    assert GeneratorSymbol(w).starred is False
+    assert GeneratorSymbol(w, True).starred is True
+    assert GeneratorSymbol(word=w, starred=True) == GeneratorSymbol(w, True)
+    # A vertex generator is self-adjoint: __post_init__ clears the star.
+    assert GeneratorSymbol(parse_word(one_loop, "@v"), True).starred is False
+
+
+def test_keyword_construction():
+    assert Edge(id="e", initial="a", final="b") == Edge("e", "a", "b")
+    assert Edge("e", final="b", initial="a") == Edge("e", "a", "b")
+    assert Edge("e", "a", "b").is_loop is False
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("e", "a"), {}, "missing field 'final'"),
+        (("e", "a", "b"), {"colour": "red"}, "unexpected field 'colour'"),
+        (("e", "a", "b"), {"id": "f"}, "multiple values for field 'id'"),
+        (("e", "a", "b", "c"), {}, "takes 3 fields, got 4"),
+    ],
+)
+def test_bad_construction_raises_type_error(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        Edge(*args, **kwargs)
+
+
+def test_fast_init_rejects_bad_arguments():
+    with pytest.raises(TypeError):
+        Scalar(Fraction(1), Fraction(2), Fraction(3))
+    with pytest.raises(TypeError):
+        Scalar(imag=Fraction(1))
+    with pytest.raises(TypeError):
+        Scalar(Fraction(1), re=Fraction(1))
+
+
+def test_fast_init_runs_post_init_through_the_instance(one_loop, monkeypatch):
+    # Replacing __post_init__ on the class must reach every construction:
+    # the benchmark's tracer counts PathWord and Monomial that way.
+    seen = []
+    for cls in (PathWord, Monomial, DiagonalElement, AlgebraElement):
+        original = vars(cls)["__post_init__"]
+
+        def counted(self, _original=original, _cls=cls):
+            seen.append(_cls)
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    backend = Backend.axiomatic()
+    w = PathWord.from_edges(one_loop, ["l"])
+    m = Monomial.vertex(one_loop, "v")
+    d = DiagonalElement.zero(one_loop)
+    a = AlgebraElement.zero(one_loop, backend)
+    assert seen == [PathWord, PathWord, Monomial, DiagonalElement, AlgebraElement]
+    assert (w.length, m.is_vertex, d.is_zero, a.is_zero) == (1, True, True, True)
+
+
+def test_derived_state_stays_out_of_the_fields(one_loop):
+    # __post_init__ stores hashes and caches beside the fields; they take
+    # no part in equality or repr.
+    w = parse_word(one_loop, "l")
+    assert repr(one_loop).startswith("Graph(vertices=('v',), edges=(Edge(")
+    assert "sole_exits" not in repr(one_loop)
+    assert w == PathWord(one_loop, ("l",), "v", "v")
+    a = AlgebraElement.generator(one_loop, Backend.axiomatic(), w)
+    b = AlgebraElement.generator(one_loop, Backend.axiomatic(), w)
+    assert a.degree == 1 and a == b and hash(a) == hash(b)
+
