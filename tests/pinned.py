@@ -18,6 +18,9 @@ GOLDENS = ROOT / "tests" / "goldens"
 # c3 edge is a sole exit, so its axiomatic moments cancel final edges in
 # every product.  The loops_bridge freeness scan and the c3 R-diagonal
 # scan bracket homogeneous elements (one free-group image each) on fock.
+# The JSON cases pin each report shape: a semicircular report with an
+# offender, a freeness report with a finding, and both series, whose
+# backend is an object rather than a string.
 PINNED = (
     ("audit-loops_bridge-json", ("audit", "loops_bridge", "--format", "json"),
      "audit_loops_bridge.json"),
@@ -60,6 +63,20 @@ PINNED = (
     ("decompose-loops_bridge-json",
      ("decompose", "loops_bridge", "--loop-bound", "2", "--format", "json"),
      "decompose_loops_bridge.json"),
+    ("semicircular-single_edge-json",
+     ("check-semicircular", "single_edge", "a:e", "--backend", "axiomatic",
+      "--max-order", "4", "--format", "json"),
+     "semicircular_single_edge.json"),
+    ("freeness-loops_bridge-json",
+     ("check-freeness", "loops_bridge", "--family-a", "L[a1]", "--family-b", "L[a1.e]",
+      "--max-order", "4", "--format", "json"),
+     "freeness_loops_bridge.json"),
+    ("moments-one_loop-json",
+     ("moments", "one_loop", "a:l", "--max-order", "4", "--format", "json"),
+     "moments_one_loop.json"),
+    ("cumulants-one_loop-json",
+     ("cumulants", "one_loop", "a:l", "--backend", "axiomatic", "--format", "json"),
+     "cumulants_one_loop.json"),
 )
 
 
