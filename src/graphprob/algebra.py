@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import BackendMismatchError, DomainError
-from .graphs import Graph, PathWord, parse_word
+from .graphs import Graph, PathWord
 from .operators import Backend, GeneratorSymbol, Monomial, compose, reduce_word
 from .records import Record
 from .scalars import ONE, Scalar
@@ -156,14 +156,8 @@ class DiagonalElement(Record):
             {Monomial.vertex(self.graph, v): c for v, c in self.coeffs},
         )
 
-    def to_json_dict(self) -> dict:
-        return {v: c.to_json() for v, c in self.coeffs}
-
-    @staticmethod
-    def from_json(graph: Graph, data: dict) -> "DiagonalElement":
-        return DiagonalElement.make(
-            graph, {v: Scalar.from_json(c) for v, c in data.items()}
-        )
+    def json_form(self) -> dict:
+        return {"value": str(self), "coeffs": dict(self.coeffs)}
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -448,82 +442,27 @@ class AlgebraElement(Record):
             tuple(sorted(verts)), tuple(sorted(paths, key=lambda w: w.key()))
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "backend": self.backend.to_json(),
-            "terms": [
-                {
-                    "p": str(m.creation),
-                    "q": str(m.annihilation),
-                    **c.to_json(),
-                }
-                for m, c in self.terms
-            ],
-        }
-
-    @staticmethod
-    def from_json(graph: Graph, data: dict) -> "AlgebraElement":
-        backend = Backend.from_json(data["backend"])
-        acc: dict[Monomial, Scalar] = {}
-        for t in data["terms"]:
-            m = Monomial(parse_word(graph, t["p"]), parse_word(graph, t["q"]))
-            c = Scalar.from_json(t)
-            acc[m] = acc.get(m, Scalar()) + c
-        return AlgebraElement.make(graph, backend, acc)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         return " + ".join(f"{c}*{m.display()}" for m, c in self.terms)
 
 
-class FaithfulnessRow(Record):
-    element: str
-    expectation_value: str
-    expectation_is_zero: bool
-    element_is_zero: bool
-    counterexample: bool
-
-
 class FaithfulnessReport(Record):
     """Outcome of probing E(a* a) = 0 => a = 0 on a sample list."""
 
     backend: str
-    rows: tuple[FaithfulnessRow, ...]
     counterexamples: tuple[str, ...]
 
     @property
     def faithful_on_samples(self) -> bool:
         return not self.counterexamples
 
-    def to_json_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "rows": [
-                {
-                    "element": r.element,
-                    "expectation": r.expectation_value,
-                    "expectation_is_zero": r.expectation_is_zero,
-                    "element_is_zero": r.element_is_zero,
-                    "counterexample": r.counterexample,
-                }
-                for r in self.rows
-            ],
-            "counterexamples": list(self.counterexamples),
-            "faithful_on_samples": self.faithful_on_samples,
-        }
-
 
 def faithfulness_probe(graph: Graph, backend: Backend, samples) -> FaithfulnessReport:
     """Evaluate E(a* a) for each sample and flag vanishing witnesses."""
-    rows = []
     bad = []
     for a in samples:
-        val = a.adjoint().expect_product(a)
-        hit = val.is_zero and not a.is_zero
-        rows.append(
-            FaithfulnessRow(str(a), str(val), val.is_zero, a.is_zero, hit)
-        )
-        if hit:
+        if a.adjoint().expect_product(a).is_zero and not a.is_zero:
             bad.append(str(a))
-    return FaithfulnessReport(str(backend), tuple(rows), tuple(bad))
+    return FaithfulnessReport(str(backend), tuple(bad))

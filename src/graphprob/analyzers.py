@@ -4,6 +4,10 @@ Every checker recomputes through the public algebra operations, so a
 report is reproducible from its inputs.  The audit table compares stated
 reference identities for these algebras against the values each backend
 actually computes; disagreement is data, not an error.
+
+Each report renders as text with ``to_text`` and as JSON with
+``to_json_dict``, the ``records.to_json`` walk.  Both names are bound in
+each report class's own body, where tracing tools wrap them.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ from .cumulants import (
     CumulantFunctional,
     MixedScanReport,
     ScanFinding,
+    SeriesTerm,
     mixed_cumulant_scan,
 )
 from .errors import DomainError
 from .graphs import Graph, PathWord, classify_edges, diagram_distinct, enumerate_paths, primitive_root
 from .operators import Backend
-from .records import Record
+from .records import Record, to_json
 
 
 def format_table(headers, rows) -> str:
@@ -65,26 +70,15 @@ class SemicircularReport(Record):
     backend: str
     max_checked_order: int
     k2: DiagonalElement
-    offenders: tuple[tuple[int, DiagonalElement], ...]
+    offenders: tuple[SeriesTerm, ...]
     verdict: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "element": self.element,
-            "backend": self.backend,
-            "max_checked_order": self.max_checked_order,
-            "k2": {"value": str(self.k2), "coeffs": self.k2.to_json_dict()},
-            "offenders": [
-                {"order": n, "value": str(v), "coeffs": v.to_json_dict()}
-                for n, v in self.offenders
-            ],
-            "verdict": self.verdict,
-        }
+    to_json_dict = to_json
 
     def to_text(self) -> str:
         rows = [["2", str(self.k2), "variance"]]
-        for n, v in self.offenders:
-            rows.append([str(n), str(v), "offender"])
+        for t in self.offenders:
+            rows.append([str(t.order), str(t.value), "offender"])
         table = format_table(["order", "bracket", "role"], rows)
         head = f"semicircularity of {self.element}  [{self.backend}]"
         tail = (
@@ -108,7 +102,7 @@ def check_semicircular(a: AlgebraElement, max_order: int) -> SemicircularReport:
         if n == 2:
             k2 = val
         elif not val.is_zero:
-            offenders.append((n, val))
+            offenders.append(SeriesTerm(n, val))
     return SemicircularReport(
         str(a), str(a.backend), max_order, k2, tuple(offenders), not offenders
     )
@@ -124,14 +118,7 @@ class RDiagonalReport(Record):
     nonzero: tuple[ScanFinding, ...]
     verdict: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "word": self.word,
-            "backend": self.backend,
-            "max_checked_order": self.max_checked_order,
-            "nonzero": [f.to_json_dict() for f in self.nonzero],
-            "verdict": self.verdict,
-        }
+    to_json_dict = to_json
 
     def to_text(self) -> str:
         table = _findings_table(self.nonzero)
@@ -163,8 +150,8 @@ def check_r_diagonal(
     scan = mixed_cumulant_scan(
         [c], [s], max_order, bound=max_order, labels={c: "a", s: "a*"}
     )
-    verdict = all(_alternating(f.pattern) for f in scan.findings)
-    return RDiagonalReport(str(word), str(backend), max_order, scan.findings, verdict)
+    verdict = all(_alternating(f.pattern) for f in scan.nonzero)
+    return RDiagonalReport(str(word), str(backend), max_order, scan.nonzero, verdict)
 
 
 # ==== freeness ====
@@ -179,23 +166,14 @@ class FreenessReport(Record):
     prediction: str
     non_distinct_pairs: tuple[tuple[str, str], ...]
     agreement: str
+    _json_keys = ("family_a", "family_b", "backend", "max_order", "scan", "free_to_order",
+                  "prediction", "non_distinct_pairs", "agreement")
 
     @property
     def free_to_order(self) -> bool:
         return self.scan.free_to_order
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family_a": list(self.family_a),
-            "family_b": list(self.family_b),
-            "backend": self.backend,
-            "max_order": self.max_order,
-            "scan": self.scan.to_json_dict(),
-            "free_to_order": self.free_to_order,
-            "prediction": self.prediction,
-            "non_distinct_pairs": [list(p) for p in self.non_distinct_pairs],
-            "agreement": self.agreement,
-        }
+    to_json_dict = to_json
 
     def to_text(self) -> str:
         head = (
@@ -204,8 +182,8 @@ class FreenessReport(Record):
         )
         lines = [
             head,
-            f"mixed tuples checked: {self.scan.checked} (orders 1..{self.max_order})",
-            _findings_table(self.scan.findings),
+            f"mixed tuples checked: {self.scan.tuples_checked} (orders 1..{self.max_order})",
+            _findings_table(self.scan.nonzero),
             f"computed: {'free' if self.free_to_order else 'not free'} to order {self.max_order}",
             f"diagram prediction: {self.prediction}",
             f"agreement: {self.agreement}",
@@ -284,40 +262,14 @@ class DecompositionReport(Record):
     basic_loops: tuple[BasicLoopRow, ...]
     loop_length_bound: int
     notes: tuple[str, ...]
+    _json_keys = ("diagonal", "edge_blocks", "basic_loops", "loop_length_bound", "block_count",
+                  "notes")
 
     @property
     def block_count(self) -> int:
         return 1 + len(self.edge_blocks)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "diagonal": {
-                "vertices": list(self.diagonal.vertices),
-                "label": self.diagonal.label,
-            },
-            "edge_blocks": [
-                {
-                    "edge": b.edge,
-                    "kind": b.kind,
-                    "base": list(b.base),
-                    "structure": b.structure,
-                    "hint": b.hint,
-                }
-                for b in self.edge_blocks
-            ],
-            "basic_loops": [
-                {
-                    "word": r.word,
-                    "vertex": r.vertex,
-                    "factorization": list(r.factorization),
-                    "generated_by": list(r.generated_by),
-                }
-                for r in self.basic_loops
-            ],
-            "loop_length_bound": self.loop_length_bound,
-            "block_count": self.block_count,
-            "notes": list(self.notes),
-        }
+    to_json_dict = to_json
 
     def to_text(self) -> str:
         rows = [["diagonal", "-", " ".join(self.diagonal.vertices), self.diagonal.label, "-"]]
@@ -412,27 +364,13 @@ class AuditRow(Record):
     computed: dict
     verdict: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "claim": self.claim,
-            "stated": self.stated,
-            "computed": dict(self.computed),
-            "verdict": self.verdict,
-        }
-
 
 class AuditReport(Record):
-    graph_summary: str
+    graph: str
     backends: tuple[str, ...]
     rows: tuple[AuditRow, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "graph": self.graph_summary,
-            "backends": list(self.backends),
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
+    to_json_dict = to_json
 
     def to_text(self) -> str:
         headers = ["id", "claim", "stated"] + list(self.backends) + ["verdict"]
@@ -444,7 +382,7 @@ class AuditReport(Record):
                 + [r.verdict]
             )
         return "\n".join(
-            [f"stated-vs-computed audit  [{self.graph_summary}]", format_table(headers, rows)]
+            [f"stated-vs-computed audit  [{self.graph}]", format_table(headers, rows)]
         )
 
 
@@ -502,7 +440,7 @@ def _semicircular(graph, backend, word, vertex):
     rep = check_semicircular(AlgebraElement.symmetrized_generator(graph, backend, word), 6)
     if rep.verdict:
         return "verdict true", True
-    orders = ",".join(str(n) for n, _ in rep.offenders)
+    orders = ",".join(str(t.order) for t in rep.offenders)
     return f"verdict false (nonzero at orders {orders})", False
 
 

@@ -28,10 +28,11 @@ from .analyzers import (
     decompose,
     format_table,
 )
-from .cumulants import CumulantFunctional
+from .cumulants import CumulantFunctional, SeriesTerm
 from .errors import DomainError
 from .graphs import Graph, enumerate_paths, parse_graph, parse_word
 from .operators import Backend
+from .records import to_json
 
 AUDIT_DEPTH = 8
 
@@ -262,24 +263,15 @@ def cmd_decompose(args) -> str:
     return _render(args, report.to_text, report.to_json_dict)
 
 
-def _render_series(args, name: str, a: AlgebraElement, backend: Backend, entries) -> str:
-    """The moments or cumulants of ``a``, one diagonal value per order."""
+def _render_series(args, name: str, a: AlgebraElement, backend: Backend, values) -> str:
+    """The moments or cumulants of ``a``: ``values`` holds orders 1, 2, ..."""
+    terms = [SeriesTerm(n, v) for n, v in enumerate(values, start=1)]
 
     def text():
-        rows = [[str(n), str(v)] for n, v in entries]
+        rows = [[str(t.order), str(t.value)] for t in terms]
         return "\n".join([f"{name} of {a}  [{backend}]", format_table(["order", "value"], rows)])
 
-    def as_json():
-        return {
-            "element": str(a),
-            "backend": backend.to_json(),
-            name: [
-                {"order": n, "value": str(v), "coeffs": v.to_json_dict()}
-                for n, v in entries
-            ],
-        }
-
-    return _render(args, text, as_json)
+    return _render(args, text, lambda: to_json({"element": str(a), "backend": backend, name: terms}))
 
 
 def cmd_moments(args) -> str:
@@ -287,15 +279,14 @@ def cmd_moments(args) -> str:
     # Powers are folded up to half the order and joined pairwise for the
     # rest; a depth too small for the full fold folds every power, so a
     # failing request reports the step a.power(n) fails at.
-    entries = list(enumerate(a.moments(args.max_order), start=1))
-    return _render_series(args, "moments", a, backend, entries)
+    return _render_series(args, "moments", a, backend, a.moments(args.max_order))
 
 
 def cmd_cumulants(args) -> str:
     backend, (a,) = _prepare(args, [args.element], 1, "max order must be positive")
     f = CumulantFunctional(bound=args.max_order)
-    entries = [(n, f.valuation((a,) * n)) for n in range(1, args.max_order + 1)]
-    return _render_series(args, "cumulants", a, backend, entries)
+    values = [f.valuation((a,) * n) for n in range(1, args.max_order + 1)]
+    return _render_series(args, "cumulants", a, backend, values)
 
 
 def cmd_check_semicircular(args) -> str:

@@ -331,18 +331,25 @@ class PairSource(CumulantSource):
         return DressedTag(arg.tag, arg.right * diag)
 
 
+class SeriesTerm(Record):
+    """The diagonal value at one order of a moment or cumulant series."""
+
+    order: int
+    value: DiagonalElement
+
+    def json_form(self) -> dict:
+        return {"order": self.order, **self.value.json_form()}
+
+
 class ScanFinding(Record):
+    """A nonzero mixed bracket and the pattern of its arguments."""
+
     order: int
     pattern: tuple[str, ...]
     value: DiagonalElement
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "pattern": list(self.pattern),
-            "value": str(self.value),
-            "coeffs": self.value.to_json_dict(),
-        }
+    def json_form(self) -> dict:
+        return {"order": self.order, "pattern": self.pattern, **self.value.json_form()}
 
 
 class MixedScanReport(Record):
@@ -351,22 +358,14 @@ class MixedScanReport(Record):
     family_a: tuple[str, ...]
     family_b: tuple[str, ...]
     max_order: int
-    checked: int
-    findings: tuple[ScanFinding, ...]
+    tuples_checked: int
+    nonzero: tuple[ScanFinding, ...]
+    _json_keys = ("family_a", "family_b", "max_order", "tuples_checked", "nonzero",
+                  "free_to_order")
 
     @property
     def free_to_order(self) -> bool:
-        return not self.findings
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family_a": list(self.family_a),
-            "family_b": list(self.family_b),
-            "max_order": self.max_order,
-            "tuples_checked": self.checked,
-            "nonzero": [f.to_json_dict() for f in self.findings],
-            "free_to_order": self.free_to_order,
-        }
+        return not self.nonzero
 
 
 def _adjoint_closure(family) -> list[AlgebraElement]:

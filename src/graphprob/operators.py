@@ -73,14 +73,8 @@ class Backend(Record):
             return f"fock(depth={self.depth})"
         return self.kind
 
-    def to_json(self) -> dict:
-        if self.is_fock:
-            return {"kind": self.kind, "depth": self.depth}
-        return {"kind": self.kind}
-
-    @staticmethod
-    def from_json(data: dict) -> "Backend":
-        return Backend(data["kind"], data.get("depth", 0))
+    def json_form(self) -> dict:
+        return {"kind": self.kind, "depth": self.depth} if self.is_fock else {"kind": self.kind}
 
 
 class GeneratorSymbol(Record):
@@ -180,9 +174,6 @@ class Monomial(Record):
 
     def sort_key(self):
         return (self.creation.key(), self.annihilation.key())
-
-    def serialize(self) -> str:
-        return f"L[{self.creation}]L*[{self.annihilation}]"
 
     def display(self) -> str:
         if self.annihilation.is_vertex:

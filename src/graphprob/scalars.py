@@ -17,14 +17,11 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 class Scalar(Record):
     """A complex number re + im*i with exact rational parts.
 
     Equality is exact; there is no tolerance anywhere in the package.
+    Its JSON form is ``{"re": "num/den", "im": "num/den"}``, its fields.
     """
 
     re: Fraction = _ZERO
@@ -72,13 +69,6 @@ class Scalar(Record):
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im)
-
-    def to_json(self) -> dict:
-        return {"re": _frac_str(self.re), "im": _frac_str(self.im)}
-
-    @staticmethod
-    def from_json(data: dict) -> "Scalar":
-        return Scalar(Fraction(data["re"]), Fraction(data["im"]))
 
     def __str__(self) -> str:
         if not self.im:

@@ -303,7 +303,7 @@ def test_freeness_diagram_matrix(report):
             [AlgebraElement.generator(parallel, b6, parse_word(parallel, "e2"))],
             6,
         )
-        assert rep.scan.findings == ()
+        assert rep.scan.nonzero == ()
         assert rep.free_to_order
         assert rep.prediction == "diagram-distinct"
         assert rep.agreement == "agree"

@@ -34,8 +34,8 @@ def test_semicircular_one_loop_backends_disagree(one_loop):
     rep_ax = check_semicircular(a_ax, 6)
     assert not rep_ax.verdict
     assert str(rep_ax.k2) == "2*L[@v]"
-    assert [n for n, _ in rep_ax.offenders] == [4, 6]
-    assert str(rep_ax.offenders[0][1]) == "-2*L[@v]"
+    assert [t.order for t in rep_ax.offenders] == [4, 6]
+    assert str(rep_ax.offenders[0].value) == "-2*L[@v]"
 
 
 def test_semicircular_rejects_non_self_adjoint(one_loop):

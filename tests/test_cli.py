@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -292,3 +293,31 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip() == ""
+
+
+# One command per analyzer report.  The benchmark's trace mode wraps each
+# report class's own to_text and to_json_dict, so renaming either breaks it.
+TRACED = (
+    ("check-semicircular", ONE_LOOP, "a:l", "--max-order", "4"),
+    ("check-rdiagonal", C3, "e1", "--max-order", "4"),
+    ("check-freeness", str(fixture_path("parallel_edges")), "--family-a", "L[e1]",
+     "--family-b", "L[e2]", "--max-order", "3"),
+    ("decompose", C3),
+    ("audit", SINGLE_EDGE),
+)
+
+
+@pytest.mark.parametrize("argv", TRACED, ids=[argv[0] for argv in TRACED])
+def test_traced_run_prints_the_same_bytes(tmp_path, capsys, argv):
+    argv = [*argv, "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "trace_op.py"), str(tmp_path / "trace.json"), "--",
+         *argv],
+        capture_output=True, cwd=ROOT, env=env,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == out.encode("utf-8")

@@ -28,6 +28,7 @@ from graphprob.cumulants import (
 )
 from graphprob.errors import ArityBoundError
 from graphprob.operators import free_product
+from graphprob.records import to_json
 
 from .conftest import FIXTURE_NAMES, load_fixture
 from .strategies import elements, graphs
@@ -313,8 +314,8 @@ def test_mixed_scan_parallel_edges(graphs):
     y = AlgebraElement.generator(g, b, parse_word(g, "e2"))
     report = mixed_cumulant_scan([x], [y], 4)
     assert report.free_to_order
-    assert report.findings == ()
-    assert report.checked > 0
+    assert report.nonzero == ()
+    assert report.tuples_checked > 0
 
 
 def test_mixed_scan_shared_element_is_never_free(one_loop):
@@ -322,7 +323,7 @@ def test_mixed_scan_shared_element_is_never_free(one_loop):
     a = AlgebraElement.symmetrized_generator(one_loop, b, parse_word(one_loop, "l"))
     report = mixed_cumulant_scan([a], [a], 2)
     # an element belonging to both families makes every tuple mixed
-    assert report.checked > 0
+    assert report.tuples_checked > 0
     assert not report.free_to_order
 
 
@@ -332,7 +333,7 @@ def test_mixed_scan_detects_dependence(one_loop):
     all_ = AlgebraElement.symmetrized_generator(one_loop, b, parse_word(one_loop, "l.l"))
     report = mixed_cumulant_scan([al], [all_], 3, labels={al: "a", all_: "b"})
     assert not report.free_to_order
-    patterns = {f.pattern for f in report.findings}
+    patterns = {f.pattern for f in report.nonzero}
     assert ("a", "a", "b") in patterns
 
 
@@ -343,5 +344,5 @@ def test_mixed_scan_labels_and_shape(graphs):
     y = AlgebraElement.generator(g, b, parse_word(g, "e2"))
     report = mixed_cumulant_scan([x], [y], 2, labels={x: "x", y: "y"})
     assert set(report.family_a) == {"x", str(x.adjoint())}
-    d = report.to_json_dict()
+    d = to_json(report)
     assert d["max_order"] == 2 and d["nonzero"] == []

@@ -18,6 +18,7 @@ from graphprob import (
     required_depth,
 )
 from graphprob.operators import cancel_final_segment, compose
+from graphprob.records import to_json
 
 from .conftest import load_fixture
 from .strategies import graphs, symbols
@@ -31,8 +32,8 @@ def test_backend_forms():
     fk = Backend.fock(5)
     assert str(ax) == "axiomatic" and str(fk) == "fock(depth=5)"
     assert not ax.is_fock and fk.is_fock
-    assert Backend.from_json(ax.to_json()) == ax
-    assert Backend.from_json(fk.to_json()) == fk
+    assert to_json(ax) == {"kind": "axiomatic"}
+    assert to_json(fk) == {"kind": "fock", "depth": 5}
 
 
 def test_backend_rejects_bad_shapes():
@@ -80,8 +81,6 @@ def test_monomial_needs_shared_final_vertex(c3):
     e2 = parse_word(c3, "e2")
     with pytest.raises(DomainError):
         Monomial(e1, e2)
-    m = Monomial(e1, e1)
-    assert m.serialize() == "L[e1]L*[e1]"
 
 
 def test_monomial_display_forms(c3):

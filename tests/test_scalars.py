@@ -3,6 +3,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphprob.records import to_json
 from graphprob.scalars import ONE, ZERO, Scalar
 
 rationals = st.fractions(max_denominator=20)
@@ -39,10 +40,9 @@ def test_str_forms():
     assert str(ZERO) == "0"
 
 
-def test_json_round_trip():
+def test_json_form():
     s = Scalar.of(Fraction(-7, 3), Fraction(2, 5))
-    assert Scalar.from_json(s.to_json()) == s
-    assert s.to_json() == {"re": "-7/3", "im": "2/5"}
+    assert to_json(s) == {"re": "-7/3", "im": "2/5"}
 
 
 @given(scalars, scalars, scalars)
