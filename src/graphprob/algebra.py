@@ -114,7 +114,7 @@ class DiagonalElement(Record):
                 self.graph, {v: c * other.coeff(v) for v, c in self.coeffs}
             )
         if isinstance(other, AlgebraElement):
-            return other._scale_left_diagonal(self)
+            return other._dress(self, "creation")
         if isinstance(other, _ScalarLike):
             s = _scalar(other)
             return DiagonalElement.make(
@@ -226,15 +226,11 @@ class AlgebraElement(Record):
         return cls.make(graph, backend, {Monomial.vertex(graph, v): ONE})
 
     @classmethod
-    def from_word(cls, graph, backend, symbols, coeff=ONE) -> "AlgebraElement":
-        m = reduce_word(backend, symbols)
+    def generator(cls, graph, backend, word: PathWord, starred: bool = False) -> "AlgebraElement":
+        m = reduce_word(backend, [GeneratorSymbol(word, starred)])
         if m is None:
             return cls.zero(graph, backend)
-        return cls.make(graph, backend, {m: _scalar(coeff)})
-
-    @classmethod
-    def generator(cls, graph, backend, word: PathWord, starred: bool = False) -> "AlgebraElement":
-        return cls.from_word(graph, backend, [GeneratorSymbol(word, starred)])
+        return cls.make(graph, backend, {m: ONE})
 
     @classmethod
     def symmetrized_generator(cls, graph, backend, word: PathWord) -> "AlgebraElement":
@@ -301,24 +297,17 @@ class AlgebraElement(Record):
             self.graph, self.backend, tuple((m, c * s) for m, c in self.terms)
         )
 
-    def _scale_left_diagonal(self, d: DiagonalElement) -> "AlgebraElement":
+    def _dress(self, d: DiagonalElement, side: str) -> "AlgebraElement":
+        """The D_G-bimodule action: ``d * self`` with side "creation",
+        ``self * d`` with side "annihilation".  Each term is scaled by d
+        at the initial vertex of that side's path word."""
         if d.graph != self.graph:
             raise BackendMismatchError("diagonal from a different graph")
         acc = {}
         for m, c in self.terms:
-            s = d.coeff(m.creation.initial)
+            s = d.coeff(getattr(m, side).initial)
             if not s.is_zero:
                 acc[m] = s * c
-        return AlgebraElement.make(self.graph, self.backend, acc)
-
-    def _scale_right_diagonal(self, d: DiagonalElement) -> "AlgebraElement":
-        if d.graph != self.graph:
-            raise BackendMismatchError("diagonal from a different graph")
-        acc = {}
-        for m, c in self.terms:
-            s = d.coeff(m.annihilation.initial)
-            if not s.is_zero:
-                acc[m] = c * s
         return AlgebraElement.make(self.graph, self.backend, acc)
 
     def __mul__(self, other):
@@ -335,7 +324,7 @@ class AlgebraElement(Record):
                     acc[m] = acc.get(m, Scalar()) + c1 * c2
             return AlgebraElement.make(self.graph, self.backend, acc)
         if isinstance(other, DiagonalElement):
-            return self._scale_right_diagonal(other)
+            return self._dress(other, "annihilation")
         if isinstance(other, _ScalarLike):
             return self.scale(other)
         return NotImplemented

@@ -204,11 +204,9 @@ def check_freeness(family_a, family_b, max_order: int) -> FreenessReport:
         raise DomainError("freeness check needs two nonempty families")
     backend = family_a[0].backend
     scan = mixed_cumulant_scan(family_a, family_b, max_order, bound=max_order)
-    words_a = sorted(
-        {w for a in family_a for w in a.support().path_support}, key=lambda w: w.key()
-    )
-    words_b = sorted(
-        {w for b in family_b for w in b.support().path_support}, key=lambda w: w.key()
+    words_a, words_b = (
+        sorted({w for x in family for w in x.support().path_support}, key=PathWord.key)
+        for family in (family_a, family_b)
     )
     bad = tuple(
         (str(wa), str(wb))

@@ -152,7 +152,7 @@ def _load_graph(path: str) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_graph(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read graph file: {exc}") from None
 
 
@@ -403,15 +403,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        out = args.func(args)
+        out = args.func(args) + "\n"
+        if args.output is None:
+            sys.stdout.write(out)
+            return 0
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise DomainError(f"cannot write output file: {exc}") from None
     except DomainError as exc:
         sys.stderr.write(json.dumps({"error": exc.payload()}, ensure_ascii=False) + "\n")
         return 1
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    else:
-        sys.stdout.write(out + "\n")
     return 0
 
 

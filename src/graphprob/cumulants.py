@@ -369,15 +369,8 @@ class MixedScanReport(Record):
 
 
 def _adjoint_closure(family) -> list[AlgebraElement]:
-    out: list[AlgebraElement] = []
-    for a in family:
-        if a not in out:
-            out.append(a)
-    for a in list(out):
-        ad = a.adjoint()
-        if ad not in out:
-            out.append(ad)
-    return out
+    out = list(dict.fromkeys(family))
+    return list(dict.fromkeys(out + [a.adjoint() for a in out]))
 
 
 def mixed_cumulant_scan(
@@ -403,24 +396,15 @@ def mixed_cumulant_scan(
     def label(x: AlgebraElement) -> str:
         return labels.get(x, str(x))
 
-    pool: list[AlgebraElement] = []
-    flags: dict[AlgebraElement, list[bool]] = {}
-    for x in closed_a:
-        flags[x] = [True, False]
-        pool.append(x)
-    for x in closed_b:
-        if x in flags:
-            flags[x][1] = True
-        else:
-            flags[x] = [False, True]
-            pool.append(x)
+    pool = list(dict.fromkeys(closed_a + closed_b))
+    in_a, in_b = set(closed_a), set(closed_b)
 
     f = CumulantFunctional(bound=bound)
     findings = []
     checked = 0
     for n in range(1, max_order + 1):
         for tup in itertools.product(pool, repeat=n):
-            if not (any(flags[x][0] for x in tup) and any(flags[x][1] for x in tup)):
+            if in_a.isdisjoint(tup) or in_b.isdisjoint(tup):
                 continue
             checked += 1
             val = f.valuation(tup)

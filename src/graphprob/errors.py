@@ -11,28 +11,24 @@ class DomainError(Exception):
     """Invalid input or violated precondition in a graph-algebra operation."""
 
     code = "domain-error"
+    # Attributes that follow code and message in the JSON payload, in order.
+    payload_fields: tuple[str, ...] = ()
 
     def payload(self) -> dict:
-        return {"code": self.code, "message": str(self)}
+        fields = {name: getattr(self, name) for name in self.payload_fields}
+        return {"code": self.code, "message": str(self), **fields}
 
 
 class GraphSyntaxError(DomainError):
     """Malformed graph description text."""
 
     code = "graph-syntax"
+    payload_fields = ("line", "column")
 
     def __init__(self, message: str, line: int, column: int = 1):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
-
-    def payload(self) -> dict:
-        return {
-            "code": self.code,
-            "message": str(self),
-            "line": self.line,
-            "column": self.column,
-        }
 
 
 class BackendMismatchError(DomainError):
@@ -49,6 +45,7 @@ class DepthError(DomainError):
     """
 
     code = "depth-insufficient"
+    payload_fields = ("required", "depth")
 
     def __init__(self, required: int, depth: int):
         super().__init__(
@@ -56,14 +53,6 @@ class DepthError(DomainError):
         )
         self.required = required
         self.depth = depth
-
-    def payload(self) -> dict:
-        return {
-            "code": self.code,
-            "message": str(self),
-            "required": self.required,
-            "depth": self.depth,
-        }
 
 
 class ArityBoundError(DomainError):

@@ -99,11 +99,12 @@ def parse_graph(text: str) -> Graph:
             if vertices is not None:
                 raise GraphSyntaxError("second vertices line", ln)
             vertices = []
+            col = raw.index("vertices:") + len("vertices:")
             for name in line[len("vertices:"):].split():
+                col = raw.index(name, col)
                 if not IDENT.match(name):
-                    raise GraphSyntaxError(
-                        f"bad identifier {name!r}", ln, raw.find(name) + 1
-                    )
+                    raise GraphSyntaxError(f"bad identifier {name!r}", ln, col + 1)
+                col += len(name)
                 if name in seen:
                     raise DomainError(f"line {ln}: duplicate identifier: {name}")
                 seen.add(name)

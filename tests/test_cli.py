@@ -223,6 +223,33 @@ def test_missing_file_is_domain_error(capsys):
     assert json.loads(err)["error"]["code"] == "domain-error"
 
 
+def _file_error(capsys, *argv) -> str:
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "domain-error"
+    return error["message"]
+
+
+def test_output_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "no_dir" / "out.txt"
+    message = _file_error(capsys, "validate", C3, "--output", str(target))
+    assert message.startswith("cannot write output file: ")
+    assert not target.parent.exists()
+
+
+def test_output_onto_directory(tmp_path, capsys):
+    message = _file_error(capsys, "validate", C3, "--output", str(tmp_path))
+    assert message.startswith("cannot write output file: ")
+
+
+def test_graph_file_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.graph"
+    bad.write_bytes(b"vertices: a\n# caf\xe9\n")
+    message = _file_error(capsys, "validate", str(bad))
+    assert message.startswith("cannot read graph file: ")
+
+
 def test_syntax_error_payload(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("vertices: a\nedge e a -> a\n")
@@ -250,6 +277,25 @@ def test_depth_error_payload(capsys):
         payload = json.loads(err)["error"]
         assert payload["code"] == "depth-insufficient"
         assert payload["required"] == required and payload["depth"] == depth
+
+
+def test_error_payload_bytes(tmp_path, capsys):
+    # One error of each payload shape, pinned byte for byte so that a
+    # change in key order or escaping shows.
+    bad = tmp_path / "bad.graph"
+    bad.write_text("vertices: a\nedge e a -> a\n")
+    cases = (
+        (("validate", str(bad)),
+         '{"error": {"code": "graph-syntax", "message": "line 2, column 1: malformed edge line",'
+         ' "line": 2, "column": 1}}\n'),
+        (("moments", ONE_LOOP, "a:l", "--max-order", "4", "--depth", "2"),
+         '{"error": {"code": "depth-insufficient", "message": "truncation depth 2 insufficient,'
+         ' need at least 3", "required": 3, "depth": 2}}\n'),
+        (("moments", ONE_LOOP, "a:q"),
+         '{"error": {"code": "domain-error", "message": "unknown edge: q"}}\n'),
+    )
+    for argv, want in cases:
+        assert run(capsys, *argv) == (1, "", want)
 
 
 def test_axiomatic_rejects_depth_flag(capsys):

@@ -346,3 +346,12 @@ def test_mixed_scan_labels_and_shape(graphs):
     assert set(report.family_a) == {"x", str(x.adjoint())}
     d = to_json(report)
     assert d["max_order"] == 2 and d["nonzero"] == []
+    # Partly overlapping closures: the pool is closure A, then the rest of
+    # closure B, and a tuple is mixed once it holds an entry of A (all of
+    # A lies in B): 2 of 4 at order 1, 16 - 4 at order 2, 64 - 8 at order 3.
+    labels = {x: "x", x.adjoint(): "x*", y: "y", y.adjoint(): "y*"}
+    report = mixed_cumulant_scan([x], [x.adjoint(), y], 3, labels=labels)
+    assert report.family_a == ("x", "x*")
+    assert report.family_b == ("x*", "y", "x", "y*")
+    assert report.tuples_checked == 2 + 12 + 56
+    assert [(f.order, f.pattern) for f in report.nonzero] == [(2, ("x*", "x"))]

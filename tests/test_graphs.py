@@ -58,6 +58,12 @@ def test_duplicate_vertex_rejected():
 def test_bad_identifier_rejected():
     with pytest.raises(DomainError):
         parse_graph("vertices: 9a\n")
+    # The column is where the bad name itself starts, not an earlier
+    # occurrence of its text in the keyword or in a previous name.
+    for text, column in (("vertices: a s:\n", 13), ("  vertices: a1 1\n", 16)):
+        with pytest.raises(GraphSyntaxError) as exc:
+            parse_graph(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
 
 
 # ---- words ----
