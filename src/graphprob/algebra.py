@@ -2,8 +2,9 @@
 
 Elements carry their graph and backend and stay canonical: terms sorted
 by the monomial order, zero coefficients dropped, every monomial after
-the backend's normal-form step.  Products pass each monomial pair
-through the backend's depth gate and ``compose``; nothing here depends
+the backend's normal-form step.  A product passes the sum of its
+factors' degrees through the backend's depth gate once, before any
+work, then each monomial pair through ``compose``; nothing here depends
 on which backend it is.
 
 Where only the expectation of a product is read, ``expect_product``
@@ -313,11 +314,10 @@ class AlgebraElement(Record):
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_compatible(other)
+            self.backend.gate(self.degree + other.degree)
             acc: dict[Monomial, Scalar] = {}
-            gate = self.backend.gate
             for m1, c1 in self.terms:
                 for m2, c2 in other.terms:
-                    gate(m1.degree + m2.degree)
                     m = compose(m1, m2)
                     if m is None:
                         continue
@@ -339,6 +339,7 @@ class AlgebraElement(Record):
             raise DomainError("negative powers are not defined")
         if k == 0:
             return AlgebraElement.identity(self.graph, self.backend)
+        self.backend.gate(k * self.degree)
         out = self
         for _ in range(k - 1):
             out = out * self
@@ -350,20 +351,16 @@ class AlgebraElement(Record):
         A vertex monomial has image 1 (``Monomial.image``), and the
         product preserves images, so a term of ``self`` with image
         (p', q') meets only the terms of ``other`` with image (q', p').
-        The depth gate scans degrees in the product's term order, so a
-        request that ``self * other`` rejects raises the same DepthError.
+        The depth gate is the product's: the sum of the two degrees.
         """
         self._check_compatible(other)
         backend = self.backend
+        backend.gate(self.degree + other.degree)
         by_image: dict = {}
         for m2, c2 in other.terms:
             by_image.setdefault(m2.image, []).append((m2, c2))
-        top = other.degree
         acc: dict[str, Scalar] = {}
         for m1, c1 in self.terms:
-            if not backend.covers(m1.degree + top):
-                for m2, _ in other.terms:
-                    backend.gate(m1.degree + m2.degree)
             p, q = m1.image
             for m2, c2 in by_image.get((q, p), ()):
                 m = compose(m1, m2)
@@ -379,14 +376,13 @@ class AlgebraElement(Record):
         """The moments E(a), ..., E(a^n), met in the middle.
 
         The powers up to ceil(n/2) are folded as ``power`` folds them, and
-        each higher moment is the ``expect_product`` of two of them.
-        When the backend may not cover n times the largest degree, some
-        fold step could raise, so all n powers are folded and a failing
-        request raises the DepthError that ``power`` raises.
+        each higher moment is the ``expect_product`` of two of them.  The
+        depth must cover n times the degree before any power is formed.
         """
         if n < 1:
             raise DomainError("moments need n >= 1")
-        half = (n + 1) // 2 if self.backend.covers(n * self.degree) else n
+        self.backend.gate(n * self.degree)
+        half = (n + 1) // 2
         powers = [self]
         while len(powers) < half:
             powers.append(powers[-1] * self)

@@ -463,14 +463,17 @@ _AUDIT_ROWS = (
      "gives the unit second bracket",
      "1*L[@{v}]", _vertex_multiple(1, _half_variance)),
 )
+# The fock depth each subject's rows need: the edge rows multiply two
+# degree-1 factors, and R5 takes brackets of order 6 of a loop generator.
+_AUDIT_DEPTHS = {"edge": 2, "loop": 6}
 
 
 def claims_audit(graph: Graph, backends) -> AuditReport:
     """Audit rows R1..R6 where the graph supplies a subject.
 
     R1 and R4 need any edge, the loop rows R2, R3, R5, R6 need a loop
-    edge, and fock backends need depth at least 6 for the order-6
-    semicircularity row.  Mismatching rows are reported, never raised.
+    edge; a fock depth too small for the rows that run raises DepthError
+    before any row runs.  Mismatching rows are reported, never raised.
     """
     backends = list(backends)
     kinds = [b.kind for b in backends]
@@ -481,6 +484,9 @@ def claims_audit(graph: Graph, backends) -> AuditReport:
         "edge": graph.edges[0] if graph.edges else None,
         "loop": graph.edge(loops[0]) if loops else None,
     }
+    need = max([_AUDIT_DEPTHS[s] for s, edge in subjects.items() if edge], default=0)
+    for b in backends:
+        b.gate(need)
     rows = []
     for rid, subject, claim, stated, compute in _AUDIT_ROWS:
         edge = subjects[subject]

@@ -156,13 +156,18 @@ def _load_graph(path: str) -> Graph:
         raise DomainError(f"cannot read graph file: {exc}") from None
 
 
-def _make_backend(args, auto_depth: int) -> Backend:
+def _make_backend(args, degree: int, order: int) -> Backend:
+    """The backend for work of degree ``degree`` up to order ``order``,
+    which needs fock depth ``degree * order``: a smaller ``--depth`` raises
+    DepthError here.  The automatic depth is ``max(1, degree) * order``."""
     if args.backend == "axiomatic":
         if args.depth is not None:
             raise DomainError("depth applies to the fock backend")
         return Backend.axiomatic()
-    depth = args.depth if args.depth is not None else auto_depth
-    return Backend.fock(depth)
+    depth = args.depth if args.depth is not None else max(1, degree) * order
+    backend = Backend.fock(depth)
+    backend.gate(degree * order)
+    return backend
 
 
 def _prepare(args, exprs, min_order: int, message: str):
@@ -170,15 +175,14 @@ def _prepare(args, exprs, min_order: int, message: str):
 
     The checks run in a fixed order, so a request with several faults
     always reports the same one: graph file, order, expression syntax,
-    words, backend options, element construction.  The automatic fock
-    depth is the largest expression degree times the order.
+    words, backend options and depth, element construction.
     """
     graph = _load_graph(args.graph)
     if args.max_order < min_order:
         raise DomainError(message)
     asts = [parse_element_ast(text) for text in exprs]
     degree = max((ast_degree(graph, ast) for ast in asts), default=0)
-    backend = _make_backend(args, max(1, degree) * args.max_order)
+    backend = _make_backend(args, degree, args.max_order)
     return backend, [build_element(graph, backend, ast) for ast in asts]
 
 
@@ -276,9 +280,6 @@ def _render_series(args, name: str, a: AlgebraElement, backend: Backend, values)
 
 def cmd_moments(args) -> str:
     backend, (a,) = _prepare(args, [args.element], 1, "max order must be positive")
-    # Powers are folded up to half the order and joined pairwise for the
-    # rest; a depth too small for the full fold folds every power, so a
-    # failing request reports the step a.power(n) fails at.
     return _render_series(args, "moments", a, backend, a.moments(args.max_order))
 
 
@@ -302,8 +303,7 @@ def cmd_check_rdiagonal(args) -> str:
     if args.max_order < 2:
         raise DomainError("R-diagonality needs max order at least 2")
     word = parse_word(graph, args.word)
-    auto = max(1, word.length) * args.max_order
-    backend = _make_backend(args, auto)
+    backend = _make_backend(args, word.length, args.max_order)
     report = check_r_diagonal(graph, backend, word, args.max_order)
     return _render(args, report.to_text, report.to_json_dict)
 
@@ -319,11 +319,10 @@ def cmd_check_freeness(args) -> str:
 
 def cmd_audit(args) -> str:
     graph = _load_graph(args.graph)
+    # Degree 0: claims_audit gates the depth its rows need.
+    backends = [_make_backend(args, 0, AUDIT_DEPTH)]
     if args.backend == "both":
-        depth = args.depth if args.depth is not None else AUDIT_DEPTH
-        backends = [Backend.axiomatic(), Backend.fock(depth)]
-    else:
-        backends = [_make_backend(args, AUDIT_DEPTH)]
+        backends.insert(0, Backend.axiomatic())
     report = claims_audit(graph, backends)
     return _render(args, report.to_text, report.to_json_dict)
 

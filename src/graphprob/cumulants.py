@@ -87,11 +87,7 @@ class NCPartition(Record):
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
-def _anything(i: int, j: int) -> bool:
-    return True
-
-
-def _first_blocks(lo: int, hi: int, balanced=_anything) -> list[tuple[int, ...]]:
+def _first_blocks(lo: int, hi: int, balanced=lambda i, j: True) -> list[tuple[int, ...]]:
     """The blocks of {lo..hi} that contain lo: by size, then lexicographically.
 
     ``balanced(i, j)`` says whether positions i+1..j may carry a nonzero
@@ -225,10 +221,9 @@ class CumulantFunctional(CumulantSource):
     recursion.
 
     Values are memoized per argument tuple, so one functional instance
-    shared across a scan avoids recomputing lower brackets.  Grading
-    applies when the backend covers the arguments' total degree, the
-    bound on every product's degree.  Otherwise every block is visited, in
-    the same order, so a failing request raises the same DepthError.
+    shared across a scan avoids recomputing lower brackets.  The depth
+    gate takes the arguments' total degree, the bound on every product's
+    degree, before a bracket is evaluated.
     """
 
     def __init__(self, *, bound: int = DEFAULT_ARITY_BOUND):
@@ -248,9 +243,8 @@ class CumulantFunctional(CumulantSource):
         cached = self._memo.get(args)
         if cached is not None:
             return cached
-        balanced = _anything
-        if args[0].backend.covers(sum(a.degree for a in args)):
-            balanced = _grading(args)
+        args[0].backend.gate(sum(a.degree for a in args))
+        balanced = _grading(args)
         total = DiagonalElement.zero(graph)
         if balanced(0, n):
             # The last factor only feeds the expectation, so it is joined

@@ -40,8 +40,8 @@ class BackendMismatchError(DomainError):
 class DepthError(DomainError):
     """A truncated path-space evaluation would need a longer basis.
 
-    Raised instead of silently truncating; carries the depth that would
-    have been enough.
+    Raised before the work starts, instead of silently truncating;
+    ``required`` is the work's degree bound, a depth that is enough.
     """
 
     code = "depth-insufficient"

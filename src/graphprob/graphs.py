@@ -15,6 +15,7 @@ from .errors import DomainError, GraphSyntaxError
 from .records import Record
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME = re.compile(r"\S+")
 _EDGE_LINE = re.compile(
     r"edge\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*"
     r"([A-Za-z_][A-Za-z0-9_]*)\s*->\s*([A-Za-z_][A-Za-z0-9_]*)\Z"
@@ -85,29 +86,30 @@ def parse_graph(text: str) -> Graph:
     Identifiers match ``[A-Za-z_][A-Za-z0-9_]*`` and share one namespace.
 
     Raises:
-        GraphSyntaxError: malformed line, with line and column.
-        DomainError: duplicate identifier or undeclared vertex.
+        GraphSyntaxError: malformed line, duplicate identifier or
+            undeclared vertex, with the line and the column of the fault.
     """
     vertices: list[str] | None = None
     edges: list[Edge] = []
     seen: set[str] = set()
+    def declare(name: str, ln: int, col: int) -> None:
+        if name in seen:
+            raise GraphSyntaxError(f"duplicate identifier: {name}", ln, col)
+        seen.add(name)
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        col0 = len(raw) - len(raw.lstrip()) + 1  # the column of line[0]
         if line.startswith("vertices:"):
             if vertices is not None:
                 raise GraphSyntaxError("second vertices line", ln)
             vertices = []
-            col = raw.index("vertices:") + len("vertices:")
-            for name in line[len("vertices:"):].split():
-                col = raw.index(name, col)
+            for m in _NAME.finditer(line, len("vertices:")):
+                name = m.group()
                 if not IDENT.match(name):
-                    raise GraphSyntaxError(f"bad identifier {name!r}", ln, col + 1)
-                col += len(name)
-                if name in seen:
-                    raise DomainError(f"line {ln}: duplicate identifier: {name}")
-                seen.add(name)
+                    raise GraphSyntaxError(f"bad identifier {name!r}", ln, col0 + m.start())
+                declare(name, ln, col0 + m.start())
                 vertices.append(name)
         elif line.startswith("edge"):
             m = _EDGE_LINE.match(line)
@@ -116,13 +118,11 @@ def parse_graph(text: str) -> Graph:
             if vertices is None:
                 raise GraphSyntaxError("edge line before the vertices line", ln)
             eid, v1, v2 = m.groups()
-            if eid in seen:
-                raise DomainError(f"line {ln}: duplicate identifier: {eid}")
-            seen.add(eid)
-            for v in (v1, v2):
-                if vertices is None or v not in vertices:
-                    raise DomainError(
-                        f"line {ln}: edge {eid} references undeclared vertex {v}"
+            declare(eid, ln, col0 + m.start(1))
+            for k in (2, 3):
+                if m[k] not in vertices:
+                    raise GraphSyntaxError(
+                        f"edge {eid} references undeclared vertex {m[k]}", ln, col0 + m.start(k)
                     )
             edges.append(Edge(eid, v1, v2))
         else:

@@ -319,20 +319,25 @@ def test_expect_product_matches_product(name):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_moments_match_powers(name):
-    """Meeting in the middle against the fold of full powers; some
-    requests split and give nonzero high moments, others fall back."""
+    """Meeting in the middle against the fold of full powers wherever the
+    depth covers n times the degree; elsewhere the request is rejected
+    up front with exactly that need."""
     g = load_fixture(name)
     rng = random.Random(f"moments-{name}")
     n = 5
-    split = 0
+    split = rejected = 0
     for backend in (AX, fock(2), fock(5), fock(10)):
         pool = _seeded_elements(g, backend, rng, 1, 4)
         for a in pool[::2] + [x + x.adjoint() for x in pool[::2]]:
             got = _outcome(lambda: a.moments(n))
-            want = _outcome(lambda: [a.power(k).expectation() for k in range(1, n + 1)])
-            assert got == want
-            split += backend.covers(n * a.degree) and any(not v.is_zero for v in got[2:])
-    assert split > 0
+            if backend.covers(n * a.degree):
+                want = [a.power(k).expectation() for k in range(1, n + 1)]
+                assert got == want
+                split += any(not v.is_zero for v in got[2:])
+            else:
+                assert got == ("depth-insufficient", n * a.degree, backend.depth)
+                rejected += 1
+    assert split > 0 and rejected > 0
 
 
 # ---- free-group images ----

@@ -261,15 +261,14 @@ def test_syntax_error_payload(tmp_path, capsys):
 
 
 def test_depth_error_payload(capsys):
-    # The bouquet3 request first exceeds its depth in the last product.
-    # The c3 scan first exceeds it in a bracket whose images do not
-    # multiply to 1, which is evaluated because the depth is too small.
+    # A request needs its largest expression degree times its order,
+    # checked before any work: 1 * 4, 2 * 5 and 2 * 5 here.
     cases = (
-        (("moments", ONE_LOOP, "a:l", "--max-order", "4", "--depth", "2"), 3, 2),
+        (("moments", ONE_LOOP, "a:l", "--max-order", "4", "--depth", "2"), 4, 2),
         (("moments", str(fixture_path("bouquet3")), "a:l1.l2 + a:l3", "--max-order", "5",
           "--depth", "9"), 10, 9),
         (("check-freeness", C3, "--family-a", "L[e1.e2]", "--family-b", "L[e3]",
-          "--max-order", "5", "--depth", "2"), 3, 2),
+          "--max-order", "5", "--depth", "2"), 10, 2),
     )
     for argv, required, depth in cases:
         code, _, err = run(capsys, *argv)
@@ -277,6 +276,30 @@ def test_depth_error_payload(capsys):
         payload = json.loads(err)["error"]
         assert payload["code"] == "depth-insufficient"
         assert payload["required"] == required and payload["depth"] == depth
+
+
+def test_depth_error_names_a_depth_that_works(capsys):
+    # Every command that takes --depth, each with a depth that is too
+    # small: the payload's required depth must then succeed.
+    lollipop = str(fixture_path("lollipop"))
+    cases = (
+        ("moments", ONE_LOOP, "a:l", "--max-order", "4", "--depth", "2"),
+        ("cumulants", ONE_LOOP, "a:l", "--max-order", "4", "--depth", "1"),
+        ("check-semicircular", str(fixture_path("bouquet3")), "a:l1 + a:l2",
+         "--max-order", "4", "--depth", "3"),
+        ("check-freeness", C3, "--family-a", "L[e1.e2]", "--family-b", "L[e3]",
+         "--max-order", "5", "--depth", "2"),
+        ("check-rdiagonal", C3, "e1.e2", "--max-order", "5", "--depth", "6"),
+        ("audit", lollipop, "--backend", "fock", "--depth", "2"),
+        ("audit", SINGLE_EDGE, "--backend", "fock", "--depth", "1"),
+    )
+    for argv in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        payload = json.loads(err)["error"]
+        assert payload["code"] == "depth-insufficient" and payload["depth"] == int(argv[-1])
+        assert payload["required"] > payload["depth"]
+        assert run(capsys, *argv[:-1], str(payload["required"]))[0] == 0, argv
 
 
 def test_error_payload_bytes(tmp_path, capsys):
@@ -290,7 +313,7 @@ def test_error_payload_bytes(tmp_path, capsys):
          ' "line": 2, "column": 1}}\n'),
         (("moments", ONE_LOOP, "a:l", "--max-order", "4", "--depth", "2"),
          '{"error": {"code": "depth-insufficient", "message": "truncation depth 2 insufficient,'
-         ' need at least 3", "required": 3, "depth": 2}}\n'),
+         ' need at least 4", "required": 4, "depth": 2}}\n'),
         (("moments", ONE_LOOP, "a:q"),
          '{"error": {"code": "domain-error", "message": "unknown edge: q"}}\n'),
     )

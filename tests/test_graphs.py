@@ -50,6 +50,22 @@ def test_parse_errors_carry_position():
         parse_graph("edge e: a -> a\n")
 
 
+def test_identifier_faults_carry_line_and_column():
+    # The column is where the offending name starts.
+    cases = (
+        ("vertices: a a\n", 1, 13, "duplicate identifier: a"),
+        ("vertices: a b\n  edge a: a -> b\n", 2, 8, "duplicate identifier: a"),
+        ("vertices: a\nedge e: a -> a\nedge e: a -> a\n", 3, 6, "duplicate identifier: e"),
+        ("vertices: a\nedge e: zz -> a\n", 2, 9, "undeclared vertex zz"),
+        ("vertices: a\nedge e: a ->  zz  # c\n", 2, 15, "undeclared vertex zz"),
+    )
+    for text, line, column, message in cases:
+        with pytest.raises(GraphSyntaxError, match=message) as exc:
+            parse_graph(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert exc.value.payload()["code"] == "graph-syntax"
+
+
 def test_duplicate_vertex_rejected():
     with pytest.raises(DomainError):
         Graph(("a", "a"), ())
