@@ -259,12 +259,6 @@ class AlgebraElement(Record):
             return None
         return self.terms[0][0].letters
 
-    def coeff(self, m: Monomial) -> Scalar:
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return Scalar()
-
     def _check_compatible(self, other: "AlgebraElement"):
         if self.graph != other.graph:
             raise BackendMismatchError("elements live over different graphs")

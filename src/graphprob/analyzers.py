@@ -94,7 +94,7 @@ def check_semicircular(a: AlgebraElement, max_order: int) -> SemicircularReport:
     the only nonzero bracket is the variance at order 2."""
     if not a.is_self_adjoint():
         raise DomainError("semicircularity check needs a self-adjoint element")
-    f = CumulantFunctional(bound=max_order)
+    f = CumulantFunctional()
     k2 = DiagonalElement.zero(a.graph)
     offenders = []
     for n in range(1, max_order + 1):
@@ -147,9 +147,7 @@ def check_r_diagonal(
     c = AlgebraElement.generator(graph, backend, word)
     s = AlgebraElement.generator(graph, backend, word, starred=True)
     # Each family's adjoint closure is {a, a*}, so every tuple is mixed.
-    scan = mixed_cumulant_scan(
-        [c], [s], max_order, bound=max_order, labels={c: "a", s: "a*"}
-    )
+    scan = mixed_cumulant_scan([c], [s], max_order, labels={c: "a", s: "a*"})
     verdict = all(_alternating(f.pattern) for f in scan.nonzero)
     return RDiagonalReport(str(word), str(backend), max_order, scan.nonzero, verdict)
 
@@ -203,7 +201,7 @@ def check_freeness(family_a, family_b, max_order: int) -> FreenessReport:
     if not family_a or not family_b:
         raise DomainError("freeness check needs two nonempty families")
     backend = family_a[0].backend
-    scan = mixed_cumulant_scan(family_a, family_b, max_order, bound=max_order)
+    scan = mixed_cumulant_scan(family_a, family_b, max_order)
     words_a, words_b = (
         sorted({w for x in family for w in x.support().path_support}, key=PathWord.key)
         for family in (family_a, family_b)
@@ -465,7 +463,7 @@ _AUDIT_ROWS = (
 )
 # The fock depth each subject's rows need: the edge rows multiply two
 # degree-1 factors, and R5 takes brackets of order 6 of a loop generator.
-_AUDIT_DEPTHS = {"edge": 2, "loop": 6}
+AUDIT_DEPTHS = {"edge": 2, "loop": 6}
 
 
 def claims_audit(graph: Graph, backends) -> AuditReport:
@@ -484,7 +482,7 @@ def claims_audit(graph: Graph, backends) -> AuditReport:
         "edge": graph.edges[0] if graph.edges else None,
         "loop": graph.edge(loops[0]) if loops else None,
     }
-    need = max([_AUDIT_DEPTHS[s] for s, edge in subjects.items() if edge], default=0)
+    need = max([AUDIT_DEPTHS[s] for s, edge in subjects.items() if edge], default=0)
     for b in backends:
         b.gate(need)
     rows = []

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement
 from .analyzers import (
+    AUDIT_DEPTHS,
     check_freeness,
     check_r_diagonal,
     check_semicircular,
@@ -33,8 +34,6 @@ from .errors import DomainError
 from .graphs import Graph, enumerate_paths, parse_graph, parse_word
 from .operators import Backend
 from .records import to_json
-
-AUDIT_DEPTH = 8
 
 
 # ---- element expression parsing ----
@@ -90,7 +89,10 @@ def parse_element_ast(text: str) -> list[tuple[Fraction, list[tuple[str, str, bo
         coeff = Fraction(1)
         has_coeff = False
         if i < len(tokens) and tokens[i][0] == "rat":
-            coeff = Fraction(tokens[i][1])
+            try:
+                coeff = Fraction(tokens[i][1])
+            except ZeroDivisionError:
+                raise DomainError(f"zero denominator in coefficient {tokens[i][1]!r}") from None
             has_coeff = True
             i += 1
             if i < len(tokens) and tokens[i][0] == "star":
@@ -285,7 +287,7 @@ def cmd_moments(args) -> str:
 
 def cmd_cumulants(args) -> str:
     backend, (a,) = _prepare(args, [args.element], 1, "max order must be positive")
-    f = CumulantFunctional(bound=args.max_order)
+    f = CumulantFunctional()
     values = [f.valuation((a,) * n) for n in range(1, args.max_order + 1)]
     return _render_series(args, "cumulants", a, backend, values)
 
@@ -319,8 +321,8 @@ def cmd_check_freeness(args) -> str:
 
 def cmd_audit(args) -> str:
     graph = _load_graph(args.graph)
-    # Degree 0: claims_audit gates the depth its rows need.
-    backends = [_make_backend(args, 0, AUDIT_DEPTH)]
+    # Degree 0: claims_audit gates the depth its rows need, at most the default.
+    backends = [_make_backend(args, 0, max(AUDIT_DEPTHS.values()))]
     if args.backend == "both":
         backends.insert(0, Backend.axiomatic())
     report = claims_audit(graph, backends)

@@ -32,8 +32,7 @@ from .algebra import AlgebraElement, DiagonalElement
 from .operators import free_product
 from .records import Record
 
-DEFAULT_NC_BOUND = 10
-DEFAULT_ARITY_BOUND = 8
+NC_ENUMERATION_LIMIT = 10
 
 
 def catalan(k: int) -> int:
@@ -121,14 +120,14 @@ def _nc_of(lo: int, hi: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def enumerate_nc(n: int, *, bound: int = DEFAULT_NC_BOUND) -> tuple[NCPartition, ...]:
+def enumerate_nc(n: int) -> tuple[NCPartition, ...]:
     """All non-crossing partitions of {1..n}; |result| is the n-th Catalan
     number.  The brute-force reference for the bracket recursion, which
-    never enumerates; the size bound limits this enumeration only."""
+    never enumerates; the limit caps this enumeration only."""
     if n < 1:
         raise DomainError("non-crossing partitions need n >= 1")
-    if n > bound:
-        raise ArityBoundError(f"enumeration bound exceeded: {n} > {bound}")
+    if n > NC_ENUMERATION_LIMIT:
+        raise ArityBoundError(f"enumeration bound exceeded: {n} > {NC_ENUMERATION_LIMIT}")
     return tuple(NCPartition(n, blocks) for blocks in _nc_of(1, n))
 
 
@@ -226,8 +225,7 @@ class CumulantFunctional(CumulantSource):
     degree, before a bracket is evaluated.
     """
 
-    def __init__(self, *, bound: int = DEFAULT_ARITY_BOUND):
-        self.bound = bound
+    def __init__(self):
         self._memo: dict = {}
 
     def valuation(self, args) -> DiagonalElement:
@@ -235,8 +233,6 @@ class CumulantFunctional(CumulantSource):
         n = len(args)
         if n == 0:
             raise DomainError("empty argument tuple")
-        if n > self.bound:
-            raise ArityBoundError(f"bracket order {n} exceeds bound {self.bound}")
         graph = args[0].graph
         if any(a.is_zero for a in args):
             return DiagonalElement.zero(graph)
@@ -266,25 +262,17 @@ class CumulantFunctional(CumulantSource):
         return total
 
 
-def moment_to_cumulant(
-    args, *, bound: int = DEFAULT_ARITY_BOUND, functional: CumulantFunctional | None = None
-) -> DiagonalElement:
+def moment_to_cumulant(args) -> DiagonalElement:
     """k_n of a tuple of algebra elements."""
-    f = functional if functional is not None else CumulantFunctional(bound=bound)
-    return f.valuation(tuple(args))
+    return CumulantFunctional().valuation(tuple(args))
 
 
-def cumulant_to_moment(
-    args, source: CumulantSource, *, bound: int = DEFAULT_ARITY_BOUND
-) -> DiagonalElement:
+def cumulant_to_moment(args, source: CumulantSource) -> DiagonalElement:
     """Sum of all non-crossing nestings: restores E(a_1 ... a_n) when the
     source is the cumulant functional of the same elements."""
     args = tuple(args)
-    n = len(args)
-    if n == 0:
+    if not args:
         raise DomainError("empty argument tuple")
-    if n > bound:
-        raise ArityBoundError(f"moment order {n} exceeds bound {bound}")
     return _nestings(args, source, _first_blocks)
 
 
@@ -367,22 +355,13 @@ def _adjoint_closure(family) -> list[AlgebraElement]:
     return list(dict.fromkeys(out + [a.adjoint() for a in out]))
 
 
-def mixed_cumulant_scan(
-    family_a,
-    family_b,
-    max_order: int,
-    *,
-    bound: int = DEFAULT_ARITY_BOUND,
-    labels=None,
-) -> MixedScanReport:
+def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> MixedScanReport:
     """Evaluate every mixed cumulant over the adjoint closures of two
     families, orders 1..max_order, and report the nonzero ones.
 
     A tuple is mixed when at least one entry represents each family;
     without mixed tuples (an empty family) the report is empty.
     """
-    if max_order > bound:
-        raise ArityBoundError(f"scan order {max_order} exceeds bound {bound}")
     closed_a = _adjoint_closure(family_a)
     closed_b = _adjoint_closure(family_b)
     labels = dict(labels or {})
@@ -393,7 +372,7 @@ def mixed_cumulant_scan(
     pool = list(dict.fromkeys(closed_a + closed_b))
     in_a, in_b = set(closed_a), set(closed_b)
 
-    f = CumulantFunctional(bound=bound)
+    f = CumulantFunctional()
     findings = []
     checked = 0
     for n in range(1, max_order + 1):

@@ -56,6 +56,6 @@ class DepthError(DomainError):
 
 
 class ArityBoundError(DomainError):
-    """Requested bracket order exceeds the configured bound."""
+    """A non-crossing partition enumeration exceeds its size limit."""
 
     code = "arity-bound"

@@ -114,7 +114,7 @@ def test_round_trip_inversion(report):
             graph = _random_graph(rng)
             for backend in (Backend.axiomatic(), Backend.fock(6)):
                 pool = _generator_pool(graph, backend)
-                functional = CumulantFunctional(bound=8)
+                functional = CumulantFunctional()
                 for _ in range(10):
                     args = tuple(
                         rng.choice(pool) for _ in range(rng.randint(1, 5))
@@ -136,7 +136,7 @@ def test_combinatorial_semicircular_law(report):
             source = PairSource(DiagonalElement.vertex_unit(graph, "v", gamma))
             for n in range(1, 11):
                 tags = dressed_tags(graph, tuple(f"x{i}" for i in range(n)))
-                moment = cumulant_to_moment(tags, source, bound=10)
+                moment = cumulant_to_moment(tags, source)
                 if n % 2:
                     assert moment.is_zero
                 else:
@@ -216,7 +216,7 @@ def test_semicircularity_one_loop(report):
                     assert counted == math.comb(n, n // 2)
         fock = Backend.fock(8)
         a = AlgebraElement.symmetrized_generator(graph, fock, loop)
-        functional = CumulantFunctional(bound=8)
+        functional = CumulantFunctional()
         unit = DiagonalElement.vertex_unit(graph, "v")
         for n in range(1, 9):
             val = functional.valuation((a,) * n)
@@ -338,7 +338,7 @@ def test_freeness_diagram_matrix(report):
         assert rep.prediction == "not-diagram-distinct"
         assert rep.non_distinct_pairs == (("l", "l.l"),)
         assert rep.agreement == "agree"
-        functional = CumulantFunctional(bound=8)
+        functional = CumulantFunctional()
         assert functional.valuation((al, al, all_)) == DiagonalElement.vertex_unit(
             one_loop, "v"
         )
@@ -404,7 +404,7 @@ def test_bimodule_properties(report):
             graph = rng.choice(graphs)
             backend = rng.choice((Backend.axiomatic(), Backend.fock(10)))
             key = (graph, backend)
-            functional = functionals.setdefault(key, CumulantFunctional(bound=8))
+            functional = functionals.setdefault(key, CumulantFunctional())
             pool = pools.setdefault(key, _generator_pool(graph, backend, max_len=2))
             n = rng.randint(2, 4)
             args = [rng.choice(pool) for _ in range(n)]

@@ -66,7 +66,7 @@ def test_parse_element_vertex_and_scalar_terms(single_edge):
 
 
 def test_parse_element_errors(one_loop):
-    for bad in ("", "L[", "L[l] L[l] +", "* L[l]", "a:@v", "L[l] 2"):
+    for bad in ("", "L[", "L[l] L[l] +", "* L[l]", "a:@v", "L[l] 2", "1/0", "L[l] + 3/0 L*[l]"):
         with pytest.raises(DomainError):
             parse_element(one_loop, Backend.axiomatic(), bad)
 
@@ -316,6 +316,9 @@ def test_error_payload_bytes(tmp_path, capsys):
          ' need at least 4", "required": 4, "depth": 2}}\n'),
         (("moments", ONE_LOOP, "a:q"),
          '{"error": {"code": "domain-error", "message": "unknown edge: q"}}\n'),
+        (("moments", ONE_LOOP, "L[l] + 3/0 L*[l]"),
+         '{"error": {"code": "domain-error", "message": "zero denominator in coefficient'
+         ' \'3/0\'"}}\n'),
     )
     for argv, want in cases:
         assert run(capsys, *argv) == (1, "", want)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -19,9 +20,11 @@ from graphprob import (
     moment_to_cumulant,
     parse_word,
 )
+from graphprob.cli import main
 from graphprob.cumulants import (
     CumulantSource,
     PairSource,
+    SeriesTerm,
     catalan,
     dressed_tags,
     nested_evaluate,
@@ -30,7 +33,7 @@ from graphprob.errors import ArityBoundError
 from graphprob.operators import free_product
 from graphprob.records import to_json
 
-from .conftest import FIXTURE_NAMES, load_fixture
+from .conftest import FIXTURE_NAMES, fixture_path, load_fixture
 from .strategies import elements, graphs
 
 AX = Backend.axiomatic()
@@ -78,7 +81,7 @@ def test_enumerate_bounds():
         enumerate_nc(0)
     with pytest.raises(ArityBoundError):
         enumerate_nc(11)
-    assert len(enumerate_nc(10, bound=10)) == catalan(10)
+    assert len(enumerate_nc(10)) == catalan(10)
 
 
 # ---- functional basics ----
@@ -90,15 +93,21 @@ def test_first_two_brackets(one_loop):
     assert f.valuation((a,)) == a.expectation()
     k2 = f.valuation((a, a))
     assert k2 == (a * a).expectation() - a.expectation() * a.expectation()
-
-
-def test_bracket_arity_bound(one_loop):
-    a = AlgebraElement.vertex_projection(one_loop, AX, "v")
-    f = CumulantFunctional(bound=2)
-    with pytest.raises(ArityBoundError):
-        f.valuation((a, a, a))
     with pytest.raises(DomainError):
         f.valuation(())
+
+
+def test_brackets_evaluate_the_order_asked_for(one_loop, capsys):
+    """A library bracket has no order limit: k_10 of the symmetrized loop
+    generator is the order-10 row of the cumulants command."""
+    a = AlgebraElement.symmetrized_generator(one_loop, AX, parse_word(one_loop, "l"))
+    k10 = CumulantFunctional().valuation((a,) * 10)
+    assert k10 == DiagonalElement.vertex_unit(one_loop, "v", 28)
+    argv = ["cumulants", str(fixture_path("one_loop")), "a:l", "--max-order", "10",
+            "--backend", "axiomatic", "--format", "json"]
+    assert main(argv) == 0
+    row = json.loads(capsys.readouterr().out)["cumulants"][-1]
+    assert row == to_json(SeriesTerm(10, k10))
 
 
 def test_nested_evaluate_interval_block(one_loop):
@@ -129,7 +138,7 @@ def test_moment_cumulant_round_trip(one_loop, single_edge):
 def test_moment_to_cumulant_matches_functional(one_loop):
     a = AlgebraElement.symmetrized_generator(one_loop, AX, parse_word(one_loop, "l"))
     f = CumulantFunctional()
-    assert moment_to_cumulant((a, a, a, a), functional=f) == f.valuation((a, a, a, a))
+    assert moment_to_cumulant((a, a, a, a)) == f.valuation((a, a, a, a))
 
 
 @pytest.mark.parametrize("backend", [AX, Backend.fock(12)], ids=["axiomatic", "fock"])
