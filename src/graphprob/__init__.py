@@ -34,15 +34,10 @@ from .cumulants import (
     CumulantFunctional,
     CumulantSource,
     DressedTag,
-    NCPartition,
     PairSource,
-    catalan,
     cumulant_to_moment,
     dressed_tags,
-    enumerate_nc,
     mixed_cumulant_scan,
-    moment_to_cumulant,
-    nested_evaluate,
 )
 from .errors import (
     ArityBoundError,
@@ -71,8 +66,6 @@ from .operators import (
     Backend,
     GeneratorSymbol,
     Monomial,
-    apply_generator_word,
-    fock_apply,
     reduce_word,
     required_depth,
 )
@@ -103,15 +96,12 @@ __all__ = [
     "Graph",
     "GraphSyntaxError",
     "Monomial",
-    "NCPartition",
     "PairSource",
     "PathWord",
     "RDiagonalReport",
     "Scalar",
     "SemicircularReport",
-    "apply_generator_word",
     "build_semicircular_system",
-    "catalan",
     "check_freeness",
     "check_r_diagonal",
     "check_semicircular",
@@ -122,13 +112,9 @@ __all__ = [
     "decompose",
     "diagram_distinct",
     "dressed_tags",
-    "enumerate_nc",
     "enumerate_paths",
     "faithfulness_probe",
-    "fock_apply",
     "mixed_cumulant_scan",
-    "moment_to_cumulant",
-    "nested_evaluate",
     "parse_graph",
     "parse_word",
     "primitive_root",

@@ -91,9 +91,11 @@ class SemicircularReport(Record):
 
 def check_semicircular(a: AlgebraElement, max_order: int) -> SemicircularReport:
     """Brackets k_n(a, ..., a) for n = 1..max_order; semicircular means
-    the only nonzero bracket is the variance at order 2."""
+    the only nonzero bracket is the variance at order 2.  A fock depth
+    below ``max_order * a.degree`` raises DepthError before any bracket."""
     if not a.is_self_adjoint():
         raise DomainError("semicircularity check needs a self-adjoint element")
+    a.backend.gate(max_order * a.degree)
     f = CumulantFunctional()
     k2 = DiagonalElement.zero(a.graph)
     offenders = []

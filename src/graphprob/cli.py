@@ -31,14 +31,14 @@ from .analyzers import (
 )
 from .cumulants import CumulantFunctional, SeriesTerm
 from .errors import DomainError
-from .graphs import Graph, enumerate_paths, parse_graph, parse_word
+from .graphs import IDENT_PATTERN, Graph, enumerate_paths, parse_graph, parse_word
 from .operators import Backend
 from .records import to_json
 
 
 # ---- element expression parsing ----
 
-_WORD_RE = r"@?[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*"
+_WORD_RE = r"@?{0}(?:\.{0})*".format(IDENT_PATTERN)
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<plus>\+)"
@@ -68,9 +68,9 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-def parse_element_ast(text: str) -> list[tuple[Fraction, list[tuple[str, str, bool]]]]:
-    """One term per summand: (coefficient, factors).  A factor is
-    ("gen", word, starred) or ("sym", word, False)."""
+def parse_element_ast(text: str) -> list[tuple[Fraction, list[tuple[str, str]]]]:
+    """One term per summand: (coefficient, factors).  A factor is the token
+    (kind, word): "lword" for ``L[w]``, "lstar" for ``L*[w]``, "sym" for ``a:w``."""
     tokens = _tokenize(text)
     if not tokens:
         raise DomainError("empty element expression")
@@ -99,11 +99,7 @@ def parse_element_ast(text: str) -> list[tuple[Fraction, list[tuple[str, str, bo
                 i += 1
         factors = []
         while i < len(tokens) and tokens[i][0] in ("lword", "lstar", "sym"):
-            kind, word = tokens[i]
-            if kind == "sym":
-                factors.append(("sym", word, False))
-            else:
-                factors.append(("gen", word, kind == "lstar"))
+            factors.append(tokens[i])
             i += 1
         if not factors and not has_coeff:
             raise DomainError(f"expected a generator at token {i}")
@@ -118,7 +114,7 @@ def ast_degree(graph: Graph, ast) -> int:
     product with the expression can reach."""
     deg = 0
     for _, factors in ast:
-        total = sum(parse_word(graph, word).length for _, word, _ in factors)
+        total = sum(parse_word(graph, word).length for _, word in factors)
         deg = max(deg, total)
     return deg
 
@@ -130,14 +126,14 @@ def build_element(graph: Graph, backend: Backend, ast) -> AlgebraElement:
             acc = AlgebraElement.identity(graph, backend)
         else:
             acc = None
-            for kind, word_text, starred in factors:
+            for kind, word_text in factors:
                 w = parse_word(graph, word_text)
                 if kind == "sym":
                     if w.is_vertex:
                         raise DomainError(f"a:{word_text} needs a path word, not a vertex")
                     el = AlgebraElement.symmetrized_generator(graph, backend, w)
                 else:
-                    el = AlgebraElement.generator(graph, backend, w, starred=starred)
+                    el = AlgebraElement.generator(graph, backend, w, starred=kind == "lstar")
                 acc = el if acc is None else acc * el
         total = total + acc.scale(coeff)
     return total

@@ -134,23 +134,20 @@ def enumerate_nc(n: int) -> tuple[NCPartition, ...]:
 class CumulantSource:
     """Order-indexed brackets with diagonal values, summed over nestings.
 
-    Subclasses supply ``valuation(args)``; ``absorb(arg, diag)`` dresses
-    an argument with a diagonal factor on the right, algebra
-    multiplication by default.
+    Subclasses supply ``valuation(args)``.  A nested gap's value dresses
+    the argument to its left as ``arg * diag``, the right D_G action, so
+    the arguments a source takes must define ``*`` by a diagonal element.
     """
 
     def valuation(self, args) -> DiagonalElement:
         raise NotImplementedError
-
-    def absorb(self, arg, diag: DiagonalElement):
-        return arg * diag
 
 
 def _nestings(args, source: CumulantSource, first_blocks) -> DiagonalElement:
     """Sum the nestings of brackets on positions 1..n whose block at the
     start of each span (lo, hi) is one of ``first_blocks(lo, hi)``; each
     span's sum is computed once per call, and a span with no block is
-    zero."""
+    zero.  A slot before a gap is dressed as ``arg * span(gap)``."""
     memo: dict = {}
 
     def span(lo: int, hi: int) -> DiagonalElement:
@@ -162,7 +159,7 @@ def _nestings(args, source: CumulantSource, first_blocks) -> DiagonalElement:
             for b, nxt in zip(block, block[1:] + (None,)):
                 arg = args[b - 1]
                 if nxt is not None and nxt > b + 1:
-                    arg = source.absorb(arg, span(b + 1, nxt - 1))
+                    arg = arg * span(b + 1, nxt - 1)
                 slots.append(arg)
             val = source.valuation(tuple(slots))
             if block[-1] < hi and not val.is_zero:
@@ -286,6 +283,9 @@ class DressedTag(Record):
     def __str__(self) -> str:
         return self.tag
 
+    def __mul__(self, diag: DiagonalElement) -> "DressedTag":
+        return DressedTag(self.tag, self.right * diag)
+
 
 def dressed_tags(graph, tags) -> tuple[DressedTag, ...]:
     unit = DiagonalElement.unit(graph)
@@ -308,9 +308,6 @@ class PairSource(CumulantSource):
         for slot in args:
             out = out * slot.right
         return out
-
-    def absorb(self, arg: DressedTag, diag: DiagonalElement) -> DressedTag:
-        return DressedTag(arg.tag, arg.right * diag)
 
 
 class SeriesTerm(Record):
@@ -360,7 +357,8 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
     families, orders 1..max_order, and report the nonzero ones.
 
     A tuple is mixed when at least one entry represents each family;
-    without mixed tuples (an empty family) the report is empty.
+    without mixed tuples (an empty family) the report is empty.  The fock
+    depth is gated once, before any bracket: ``max_order`` x the pool's largest degree.
     """
     closed_a = _adjoint_closure(family_a)
     closed_b = _adjoint_closure(family_b)
@@ -371,6 +369,8 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
 
     pool = list(dict.fromkeys(closed_a + closed_b))
     in_a, in_b = set(closed_a), set(closed_b)
+    if closed_a and closed_b:
+        pool[0].backend.gate(max_order * max(x.degree for x in pool))
 
     f = CumulantFunctional()
     findings = []

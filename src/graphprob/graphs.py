@@ -14,12 +14,10 @@ from collections import Counter
 from .errors import DomainError, GraphSyntaxError
 from .records import Record
 
-IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+IDENT_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
+IDENT = re.compile(IDENT_PATTERN + r"\Z")
 _NAME = re.compile(r"\S+")
-_EDGE_LINE = re.compile(
-    r"edge\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*"
-    r"([A-Za-z_][A-Za-z0-9_]*)\s*->\s*([A-Za-z_][A-Za-z0-9_]*)\Z"
-)
+_EDGE_LINE = re.compile(r"edge\s+({0})\s*:\s*({0})\s*->\s*({0})\Z".format(IDENT_PATTERN))
 
 
 class Edge(Record):

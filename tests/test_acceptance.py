@@ -29,8 +29,6 @@ from graphprob import (
     GeneratorSymbol,
     PairSource,
     PathWord,
-    apply_generator_word,
-    catalan,
     check_freeness,
     check_r_diagonal,
     check_semicircular,
@@ -39,13 +37,13 @@ from graphprob import (
     cumulant_to_moment,
     decompose,
     dressed_tags,
-    enumerate_nc,
     enumerate_paths,
-    fock_apply,
     parse_graph,
     parse_word,
     reduce_word,
 )
+from graphprob.cumulants import catalan, enumerate_nc
+from graphprob.operators import apply_generator_word, fock_apply
 from .conftest import FIXTURE_NAMES, fixture_path, load_fixture, load_golden
 
 

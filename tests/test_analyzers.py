@@ -133,6 +133,34 @@ def test_freeness_rejects_empty_family(one_loop):
         check_freeness([a], [], 2)
 
 
+def test_library_checks_name_the_depth_of_the_whole_call(one_loop):
+    """Each check gates max_order x the largest degree before any
+    bracket, so the depth a DepthError names is enough to rerun."""
+    from graphprob import DepthError
+    from graphprob.cumulants import mixed_cumulant_scan
+
+    l = parse_word(one_loop, "l")
+
+    def calls(backend):
+        a = AlgebraElement.symmetrized_generator(one_loop, backend, l)
+        g = AlgebraElement.generator(one_loop, backend, l)
+        g_star = AlgebraElement.generator(one_loop, backend, l, starred=True)
+        return [
+            lambda: check_semicircular(a, 6),
+            lambda: mixed_cumulant_scan([g], [g_star], 6),
+            lambda: check_freeness([g], [g_star], 6),
+            lambda: check_r_diagonal(one_loop, backend, l, 6),
+        ]
+
+    for depth in (3, 4, 5):
+        for call in calls(Backend.fock(depth)):
+            with pytest.raises(DepthError) as err:
+                call()
+            assert err.value.required == 6
+    for call in calls(Backend.fock(6)):
+        call()
+
+
 # ---- decomposition ----
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphprob import Backend, DomainError, catalan, parse_word
+from graphprob import Backend, DomainError, parse_word
 from graphprob.cli import (
     ast_degree,
     build_element,
@@ -14,6 +14,7 @@ from graphprob.cli import (
     parse_element,
     parse_element_ast,
 )
+from graphprob.cumulants import catalan
 
 from .conftest import fixture_path
 from .pinned import GOLDENS, PINNED, ROOT, cli_argv

@@ -12,21 +12,21 @@ from graphprob import (
     CumulantFunctional,
     DiagonalElement,
     DomainError,
-    NCPartition,
     cumulant_to_moment,
-    enumerate_nc,
     mixed_cumulant_scan,
     enumerate_paths,
-    moment_to_cumulant,
     parse_word,
 )
 from graphprob.cli import main
 from graphprob.cumulants import (
     CumulantSource,
+    NCPartition,
     PairSource,
     SeriesTerm,
     catalan,
     dressed_tags,
+    enumerate_nc,
+    moment_to_cumulant,
     nested_evaluate,
 )
 from graphprob.errors import ArityBoundError

@@ -10,14 +10,12 @@ from graphprob import (
     GeneratorSymbol,
     Monomial,
     PathWord,
-    apply_generator_word,
     enumerate_paths,
-    fock_apply,
     parse_word,
     reduce_word,
     required_depth,
 )
-from graphprob.operators import cancel_final_segment, compose
+from graphprob.operators import apply_generator_word, cancel_final_segment, compose, fock_apply
 from graphprob.records import to_json
 
 from .conftest import load_fixture
