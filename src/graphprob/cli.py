@@ -1,10 +1,7 @@
 """Command line front end.
 
-Element expressions use a small language: ``L[w]`` and ``L*[w]`` are the
-generator for an admissible word ``w`` and its adjoint, ``a:w`` is the
-symmetrized generator ``L[w] + L*[w]``, juxtaposition multiplies, ``+``
-and ``-`` combine terms, and a term may carry a rational coefficient
-(``2*L[e]``, ``1/2 a:l``).  Vertex words are written ``@v``.
+Element expressions follow the grammar in ``parse_element_ast``: ``a:w``
+is ``L[w] + L*[w]``, juxtaposition multiplies, vertex words are ``@v``.
 
 Exit codes: 0 on success, 1 on a reported domain error (a JSON error
 object goes to stderr), 2 on argument errors.  Output is deterministic
@@ -39,73 +36,40 @@ from .records import to_json
 # ---- element expression parsing ----
 
 _WORD_RE = r"@?{0}(?:\.{0})*".format(IDENT_PATTERN)
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<plus>\+)"
-    r"|(?P<minus>-)"
-    r"|(?P<rat>\d+(?:/\d+)?)"
-    r"|(?P<star>\*)"
-    r"|L\*\[(?P<lstar>" + _WORD_RE + r")\]"
-    r"|L\[(?P<lword>" + _WORD_RE + r")\]"
-    r"|a:(?P<sym>" + _WORD_RE + r")"
+_FACTOR_RE = re.compile(
+    r"L\*\[(?P<lstar>{0})\]|L\[(?P<lword>{0})\]|a:(?P<sym>{0})".format(_WORD_RE)
+)
+# One term and the whitespace after it (and before it, for the first term).
+_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*(?:(?P<rat>\d+(?:/\d+)?)\s*(?:\*\s*)?)?"
+    r"(?P<factors>(?:(?:" + _FACTOR_RE.pattern + r")\s*)*)"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DomainError(
-                f"bad element syntax at position {pos}: {text[pos:pos + 12]!r}"
-            )
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        tokens.append((kind, m.group(kind)))
-    return tokens
-
-
 def parse_element_ast(text: str) -> list[tuple[Fraction, list[tuple[str, str]]]]:
-    """One term per summand: (coefficient, factors).  A factor is the token
-    (kind, word): "lword" for ``L[w]``, "lstar" for ``L*[w]``, "sym" for ``a:w``."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise DomainError("empty element expression")
-    terms = []
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = 1
-        kind, _ = tokens[i]
-        if kind in ("plus", "minus"):
-            sign = -1 if kind == "minus" else 1
-            i += 1
-        elif not first:
-            raise DomainError(f"expected + or - between terms, got {tokens[i][1]!r}")
-        first = False
-        coeff = Fraction(1)
-        has_coeff = False
-        if i < len(tokens) and tokens[i][0] == "rat":
-            try:
-                coeff = Fraction(tokens[i][1])
-            except ZeroDivisionError:
-                raise DomainError(f"zero denominator in coefficient {tokens[i][1]!r}") from None
-            has_coeff = True
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "star":
-                i += 1
-        factors = []
-        while i < len(tokens) and tokens[i][0] in ("lword", "lstar", "sym"):
-            factors.append(tokens[i])
-            i += 1
-        if not factors and not has_coeff:
-            raise DomainError(f"expected a generator at token {i}")
-        if i < len(tokens) and tokens[i][0] not in ("plus", "minus"):
-            raise DomainError(f"unexpected token {tokens[i][1]!r}")
-        terms.append((Fraction(sign) * coeff, factors))
+    """Parse an element expression, whitespace allowed between tokens:
+
+        element  := ["+"|"-"] term (("+"|"-") term)*
+        term     := [rational ["*"]] factor*     (at least one of the two)
+        factor   := "L[" word "]" | "L*[" word "]" | "a:" word
+        rational := digits ["/" digits]
+
+    One (coefficient, factors) pair per term.  A factor is (kind, word):
+    "lword" for ``L[w]``, "lstar" for ``L*[w]``, "sym" for ``a:w``."""
+    terms, pos = [], 0
+    while pos < len(text) or not terms:
+        m = _TERM_RE.match(text, pos)
+        signed = m["sign"] or not terms
+        if not (signed and (m["rat"] or m["factors"])):
+            at = m.end() if signed else pos
+            raise DomainError(f"bad element syntax at position {at}: {text[at:at + 12]!r}")
+        try:
+            coeff = Fraction(m["rat"] or 1)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in coefficient {m['rat']!r}") from None
+        factors = [(f.lastgroup, f[f.lastgroup]) for f in _FACTOR_RE.finditer(m["factors"])]
+        terms.append((-coeff if m["sign"] == "-" else coeff, factors))
+        pos = m.end()
     return terms
 
 

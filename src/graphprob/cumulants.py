@@ -358,7 +358,7 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
 
     A tuple is mixed when at least one entry represents each family;
     without mixed tuples (an empty family) the report is empty.  The fock
-    depth is gated once, before any bracket: ``max_order`` x the pool's largest degree.
+    depth is gated once, before any bracket, at a mixed tuple's largest degree.
     """
     closed_a = _adjoint_closure(family_a)
     closed_b = _adjoint_closure(family_b)
@@ -370,7 +370,8 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
     pool = list(dict.fromkeys(closed_a + closed_b))
     in_a, in_b = set(closed_a), set(closed_b)
     if closed_a and closed_b:
-        pool[0].backend.gate(max_order * max(x.degree for x in pool))
+        smaller, larger = sorted(max(x.degree for x in c) for c in (closed_a, closed_b))
+        pool[0].backend.gate((max_order - 1) * larger + smaller)
 
     f = CumulantFunctional()
     findings = []

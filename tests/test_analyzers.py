@@ -133,15 +133,17 @@ def test_freeness_rejects_empty_family(one_loop):
         check_freeness([a], [], 2)
 
 
-def test_library_checks_name_the_depth_of_the_whole_call(one_loop):
-    """Each check gates max_order x the largest degree before any
-    bracket, so the depth a DepthError names is enough to rerun."""
+def test_library_checks_name_the_depth_of_the_whole_call(one_loop, c3):
+    """Each check gates the largest degree its brackets reach before any
+    bracket, so the depth a DepthError names is enough to rerun, and the
+    reports there equal those one depth deeper.  A mixed tuple holds an
+    element of each family, so families of degrees 2 and 1 at order 5
+    need 4 x 2 + 1 = 9, not 5 x 2."""
     from graphprob import DepthError
     from graphprob.cumulants import mixed_cumulant_scan
 
-    l = parse_word(one_loop, "l")
-
-    def calls(backend):
+    def one_loop_calls(backend):
+        l = parse_word(one_loop, "l")
         a = AlgebraElement.symmetrized_generator(one_loop, backend, l)
         g = AlgebraElement.generator(one_loop, backend, l)
         g_star = AlgebraElement.generator(one_loop, backend, l, starred=True)
@@ -152,13 +154,27 @@ def test_library_checks_name_the_depth_of_the_whole_call(one_loop):
             lambda: check_r_diagonal(one_loop, backend, l, 6),
         ]
 
-    for depth in (3, 4, 5):
-        for call in calls(Backend.fock(depth)):
-            with pytest.raises(DepthError) as err:
-                call()
-            assert err.value.required == 6
-    for call in calls(Backend.fock(6)):
-        call()
+    def c3_calls(backend):
+        long, short = (
+            AlgebraElement.generator(c3, backend, parse_word(c3, w)) for w in ("e1.e2", "e3")
+        )
+        return [
+            lambda: mixed_cumulant_scan([long], [short], 5),
+            lambda: check_freeness([long], [short], 5),
+        ]
+
+    def without_backend(report):
+        return {f: getattr(report, f) for f in report._fields if f != "backend"}
+
+    for calls, required in ((one_loop_calls, 6), (c3_calls, 9)):
+        for depth in range(required - 3, required):
+            for call in calls(Backend.fock(depth)):
+                with pytest.raises(DepthError) as err:
+                    call()
+                assert err.value.required == required
+        exact = [call() for call in calls(Backend.fock(required))]
+        deeper = [call() for call in calls(Backend.fock(required + 1))]
+        assert [without_backend(r) for r in exact] == [without_backend(r) for r in deeper]
 
 
 # ---- decomposition ----

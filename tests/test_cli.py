@@ -37,6 +37,16 @@ def run(capsys, *argv):
 def test_parse_element_terms(one_loop):
     ast = parse_element_ast("2*L[l] - 1/2 L*[l] + a:l")
     assert [c for c, _ in ast] == [Fraction(2), Fraction(-1, 2), Fraction(1)]
+    l, l_star, a = ("lword", "l"), ("lstar", "l"), ("sym", "l")
+    accepted = {
+        "-L[l]": [(Fraction(-1), [l])],
+        "+ a:l": [(Fraction(1), [a])],
+        "2*": [(Fraction(2), [])],
+        " L[l] L*[l]\ta:l ": [(Fraction(1), [l, l_star, a])],
+        "-3 * a:l L[l]": [(Fraction(-3), [a, l])],
+    }
+    for text, want in accepted.items():
+        assert parse_element_ast(text) == want
     a = build_element(one_loop, Backend.axiomatic(), ast)
     le = parse_word(one_loop, "l")
     from graphprob import AlgebraElement
@@ -67,9 +77,29 @@ def test_parse_element_vertex_and_scalar_terms(single_edge):
 
 
 def test_parse_element_errors(one_loop):
-    for bad in ("", "L[", "L[l] L[l] +", "* L[l]", "a:@v", "L[l] 2", "1/0", "L[l] + 3/0 L*[l]"):
+    # A malformed expression names the position where no term could go on.
+    positions = {
+        "": 0, "  ": 2, "L[": 0, "* L[l]": 0, "L[l] L[l] +": 11, "L[l] 2": 5, "2 3": 2,
+        "L[l] + $": 7, "- - L[l]": 2, "1/2/3": 3, "L[l]*L[l]": 4, "a:l.": 3,
+    }
+    for bad, at in positions.items():
+        with pytest.raises(DomainError) as err:
+            parse_element_ast(bad)
+        assert str(err.value) == f"bad element syntax at position {at}: {bad[at:at + 12]!r}"
+    for bad in ("a:@v", "1/0", "L[l] + 3/0 L*[l]"):
         with pytest.raises(DomainError):
             parse_element(one_loop, Backend.axiomatic(), bad)
+
+
+def test_parse_element_long_expressions():
+    # Parsing is one left-to-right pass, so long inputs end promptly.
+    ok = " + ".join(["2 L[l]L*[l]"] * 10_000)
+    assert len(ok) >= 10**5
+    assert parse_element_ast(ok) == [(Fraction(2), [("lword", "l"), ("lstar", "l")])] * 10_000
+    bad = "a:l " * 25_000 + "$"
+    with pytest.raises(DomainError) as err:
+        parse_element_ast(bad)
+    assert str(err.value) == f"bad element syntax at position {len(bad) - 1}: '$'"
 
 
 def test_ast_degree(one_loop):
@@ -337,6 +367,25 @@ def test_bad_element_expression(capsys):
     code, _, err = run(capsys, "moments", ONE_LOOP, "L[l")
     assert code == 1
     assert json.loads(err)["error"]["code"] == "domain-error"
+
+
+def test_request_faults_are_reported_in_a_fixed_order(capsys):
+    # Every expression's syntax, then its words, then the backend options.
+    def error(family_a, family_b):
+        code, out, err = run(
+            capsys, "check-freeness", ONE_LOOP, "--family-a", family_a, "--family-b", family_b,
+            "--backend", "axiomatic", "--depth", "4",
+        )
+        assert (code, out) == (1, "")
+        return json.loads(err)["error"]
+
+    steps = (
+        ("L[q]", "L[l] 2", "bad element syntax at position 5: '2'"),
+        ("L[q]", "L[l] + 2", "unknown edge: q"),
+        ("L[l]", "L[l] + 2", "depth applies to the fock backend"),
+    )
+    for family_a, family_b, message in steps:
+        assert error(family_a, family_b) == {"code": "domain-error", "message": message}
 
 
 def test_usage_error_exit_code(capsys):
