@@ -15,6 +15,7 @@ FIXTURE_NAMES = (
     "bouquet3",
     "loops_bridge",
     "lollipop",
+    "mixed_exits",
 )
 
 

@@ -18,6 +18,9 @@ GOLDENS = ROOT / "tests" / "goldens"
 # c3 edge is a sole exit, so its axiomatic moments cancel final edges in
 # every product.  The loops_bridge freeness scan and the c3 R-diagonal
 # scan bracket homogeneous elements (one free-group image each) on fock.
+# mixed_exits has sole exits (f, k) next to branching vertices, so its
+# axiomatic products cancel some final edges and keep others; its cases
+# run on both backends.
 # The JSON cases pin each report shape: a semicircular report with an
 # offender, a freeness report with a finding, and both series, whose
 # backend is an object rather than a string.
@@ -77,6 +80,26 @@ PINNED = (
     ("cumulants-one_loop-json",
      ("cumulants", "one_loop", "a:l", "--backend", "axiomatic", "--format", "json"),
      "cumulants_one_loop.json"),
+    ("moments-mixed_exits-fock",
+     ("moments", "mixed_exits", "a:e.f+a:g+a:h", "--max-order", "8", "--backend", "fock"),
+     "moments_mixed_exits_fock.txt"),
+    ("cumulants-mixed_exits-fock",
+     ("cumulants", "mixed_exits", "a:f+a:k", "--max-order", "6", "--backend", "fock"),
+     "cumulants_mixed_exits_fock.txt"),
+    ("freeness-mixed_exits-fock",
+     ("check-freeness", "mixed_exits", "--family-a", "L[e.f]", "--family-b", "L[h]",
+      "--family-b", "L[g]", "--max-order", "5", "--backend", "fock"),
+     "freeness_mixed_exits_fock.txt"),
+    ("moments-mixed_exits-axiomatic",
+     ("moments", "mixed_exits", "a:e.f+a:g+a:h", "--max-order", "8", "--backend", "axiomatic"),
+     "moments_mixed_exits_axiomatic.txt"),
+    ("cumulants-mixed_exits-axiomatic",
+     ("cumulants", "mixed_exits", "a:f+a:k", "--max-order", "6", "--backend", "axiomatic"),
+     "cumulants_mixed_exits_axiomatic.txt"),
+    ("freeness-mixed_exits-axiomatic",
+     ("check-freeness", "mixed_exits", "--family-a", "L[e.f]", "--family-b", "L[h]",
+      "--family-b", "L[g]", "--max-order", "5", "--backend", "axiomatic"),
+     "freeness_mixed_exits_axiomatic.txt"),
 )
 
 
