@@ -10,7 +10,9 @@ on which backend it is.
 Where only the expectation of a product is read, ``expect_product``
 joins the two factors' terms on their free-group images and never forms
 the product; ``moments`` meets in the middle with it, folding powers
-only up to half the order.
+only up to half the order.  ``visible`` cuts a factor to the terms that
+can still reach E, which the folds of ``moments`` and the brackets'
+prefix products keep after every step.
 """
 
 from __future__ import annotations
@@ -292,6 +294,26 @@ class AlgebraElement(Record):
             self.graph, self.backend, tuple((m, c * s) for m, c in self.terms)
         )
 
+    def visible(self, side: str) -> "AlgebraElement":
+        """The terms E can still see when this element is a left factor
+        (side "creation") or a right factor (side "annihilation") of a
+        product: those whose word on that side has only edges the backend
+        cancels (``Backend.cancellable``).
+
+        A left factor's creation word stays the prefix of every later
+        creation word, and the only rewrite that shortens it, the
+        axiomatic cancellation, eats it from the end; so a term with any
+        other edge never reaches a vertex monomial.  The same holds for a
+        right factor's annihilation word.  Hence ``(x * y).visible(s)``
+        is ``(x.visible(s) * y).visible(s)`` for s "creation", likewise
+        on the right, and ``E(x * y)`` is unchanged by either cut.
+        """
+        keep = self.backend.cancellable(self.graph)
+        terms = tuple((m, c) for m, c in self.terms if keep.issuperset(getattr(m, side).edges))
+        if len(terms) == len(self.terms):
+            return self
+        return AlgebraElement(self.graph, self.backend, terms)
+
     def _dress(self, d: DiagonalElement, side: str) -> "AlgebraElement":
         """The D_G-bimodule action: ``d * self`` with side "creation",
         ``self * d`` with side "annihilation".  Each term is scaled by d
@@ -369,20 +391,27 @@ class AlgebraElement(Record):
     def moments(self, n: int) -> list[DiagonalElement]:
         """The moments E(a), ..., E(a^n), met in the middle.
 
-        The powers up to ceil(n/2) are folded as ``power`` folds them, and
-        each higher moment is the ``expect_product`` of two of them.  The
-        depth must cover n times the degree before any power is formed.
+        With h = ceil(n/2), the left powers a, ..., a^(n-h) are folded
+        keeping their visible creation words and the right power a^h as
+        ``a * R`` keeping its visible annihilation words (``visible``);
+        each higher moment is the ``expect_product`` of a left power and
+        the right one.  The cuts keep every vertex term, so the powers'
+        own expectations are the lower moments.  The depth must cover n
+        times the degree before any power is formed.
         """
         if n < 1:
             raise DomainError("moments need n >= 1")
         self.backend.gate(n * self.degree)
         half = (n + 1) // 2
-        powers = [self]
-        while len(powers) < half:
-            powers.append(powers[-1] * self)
-        values = [p.expectation() for p in powers]
+        left = [self.visible("creation")]
+        while len(left) < n - half:
+            left.append((left[-1] * self).visible("creation"))
+        right = self.visible("annihilation")
+        for _ in range(half - 1):
+            right = (self * right).visible("annihilation")
+        values = [p.expectation() for p in left[: half - 1]] + [right.expectation()]
         for k in range(half + 1, n + 1):
-            values.append(powers[k - half - 1].expect_product(powers[-1]))
+            values.append(left[k - half - 1].expect_product(right))
         return values
 
     def adjoint(self) -> "AlgebraElement":

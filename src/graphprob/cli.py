@@ -40,9 +40,11 @@ _FACTOR_RE = re.compile(
     r"L\*\[(?P<lstar>{0})\]|L\[(?P<lword>{0})\]|a:(?P<sym>{0})".format(_WORD_RE)
 )
 # One term and the whitespace after it (and before it, for the first term).
+# Digits and whitespace are ASCII only.
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-]?)\s*(?:(?P<rat>\d+(?:/\d+)?)\s*(?:\*\s*)?)?"
-    r"(?P<factors>(?:(?:" + _FACTOR_RE.pattern + r")\s*)*)"
+    r"(?P<factors>(?:(?:" + _FACTOR_RE.pattern + r")\s*)*)",
+    re.ASCII,
 )
 
 

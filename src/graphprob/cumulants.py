@@ -17,9 +17,16 @@ Brackets are graded by the free-group image (``AlgebraElement.image``):
 products multiply images and E keeps only image 1, so a bracket whose
 arguments' images multiply to something else is zero.  Where the images
 are known, a bracket evaluates only balanced tuples and visits only the
-first blocks whose gaps and tail are balanced.  An unknown image (a sum
-of differently graded terms) counts as balanced.  ``enumerate_nc`` and
+first blocks whose gaps and tail are balanced, and a mixed scan walks
+only the prefixes that can still balance.  An unknown image (a sum of
+differently graded terms) counts as balanced.  ``enumerate_nc`` and
 ``nested_evaluate`` remain as the ungraded brute-force reference.
+
+A bracket's moment ``E(a_1 ... a_n)`` joins the prefix product
+``a_1 ... a_(n-1)`` with ``a_n`` on vertex terms.  Prefix products are
+memoized per argument prefix, so sibling tuples and nested brackets
+share them, and each is cut to the terms E can still see
+(``AlgebraElement.visible``).
 """
 
 from __future__ import annotations
@@ -216,39 +223,48 @@ class CumulantFunctional(CumulantSource):
     """The cumulants of algebra elements, by the graded first-block
     recursion.
 
-    Values are memoized per argument tuple, so one functional instance
-    shared across a scan avoids recomputing lower brackets.  The depth
-    gate takes the arguments' total degree, the bound on every product's
-    degree, before a bracket is evaluated.
+    Values are memoized per argument tuple, and the prefix products
+    a_1...a_k per argument prefix, each cut to the terms E can still see
+    (``AlgebraElement.visible``); so one functional instance shared
+    across a scan or a series avoids recomputing lower brackets and
+    shared prefixes.  The depth gate takes the arguments' total degree,
+    the bound on every product's degree, before a bracket is evaluated.
     """
 
     def __init__(self):
         self._memo: dict = {}
+        self._prefixes: dict = {}
+
+    def _prefix(self, args) -> AlgebraElement:
+        """The product of ``args`` cut to its visible creation words."""
+        prod = self._prefixes.get(args)
+        if prod is None:
+            prod = args[0] if len(args) == 1 else self._prefix(args[:-1]) * args[-1]
+            prod = self._prefixes[args] = prod.visible("creation")
+        return prod
 
     def valuation(self, args) -> DiagonalElement:
         args = tuple(args)
         n = len(args)
         if n == 0:
             raise DomainError("empty argument tuple")
-        graph = args[0].graph
-        if any(a.is_zero for a in args):
-            return DiagonalElement.zero(graph)
         cached = self._memo.get(args)
         if cached is not None:
             return cached
+        graph = args[0].graph
+        if any(a.is_zero for a in args):
+            return DiagonalElement.zero(graph)
         args[0].backend.gate(sum(a.degree for a in args))
         balanced = _grading(args)
         total = DiagonalElement.zero(graph)
         if balanced(0, n):
-            # The last factor only feeds the expectation, so it is joined
-            # on vertex terms instead of multiplied out.
-            prod = args[0]
-            for a in args[1:-1]:
-                prod = prod * a
-                if prod.is_zero:
-                    break
-            total = prod.expect_product(args[-1]) if n > 1 else prod.expectation()
-            if n > 1:
+            if n == 1:
+                total = args[0].expectation()
+            else:
+                # The last factor only feeds the expectation, so it is
+                # joined on vertex terms instead of multiplied out.
+                total = self._prefix(args[:-1]).expect_product(args[-1])
+
                 # Gaps and tails of graded blocks are balanced spans, so
                 # every span the walk reaches is balanced.
                 def proper(lo, hi):
@@ -356,9 +372,19 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
     """Evaluate every mixed cumulant over the adjoint closures of two
     families, orders 1..max_order, and report the nonzero ones.
 
-    A tuple is mixed when at least one entry represents each family;
-    without mixed tuples (an empty family) the report is empty.  The fock
-    depth is gated once, before any bracket, at a mixed tuple's largest degree.
+    The pool is closure A, then the rest of closure B; a tuple over it is
+    mixed when at least one entry represents each family, and without
+    mixed tuples (an empty family) the report is empty.  The fock depth
+    is gated once, before any bracket, at a mixed tuple's largest degree.
+
+    Tuples are walked depth-first in ``itertools.product`` order, each
+    order's findings in turn, carrying the reduced image of each prefix
+    (``free_product``).  Only mixed tuples of image 1 reach
+    ``valuation``, and a prefix whose image is longer than its remaining
+    slots times the longest pool image is not extended: every other
+    bracket is zero.  When a pool element has no image (a sum), nothing
+    is pruned and every mixed tuple goes to ``valuation``, which grades
+    it.  ``tuples_checked`` counts all mixed tuples, by closed form.
     """
     closed_a = _adjoint_closure(family_a)
     closed_b = _adjoint_closure(family_b)
@@ -368,28 +394,41 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
         return labels.get(x, str(x))
 
     pool = list(dict.fromkeys(closed_a + closed_b))
-    in_a, in_b = set(closed_a), set(closed_b)
+    findings: list[list[ScanFinding]] = [[] for _ in range(max_order + 1)]
     if closed_a and closed_b:
         smaller, larger = sorted(max(x.degree for x in c) for c in (closed_a, closed_b))
         pool[0].backend.gate((max_order - 1) * larger + smaller)
+        in_a, in_b = set(closed_a), set(closed_b)
+        images = [x.image for x in pool]
+        if None in images:
+            # A sum has no image: every tuple counts as balanced, and each
+            # bracket grades itself.
+            images = [()] * len(pool)
+        reach = max(map(len, images))
+        steps = [(x, image, x in in_a, x in in_b) for x, image in zip(pool, images)]
+        f = CumulantFunctional()
 
-    f = CumulantFunctional()
-    findings = []
-    checked = 0
-    for n in range(1, max_order + 1):
-        for tup in itertools.product(pool, repeat=n):
-            if in_a.isdisjoint(tup) or in_b.isdisjoint(tup):
-                continue
-            checked += 1
-            val = f.valuation(tup)
-            if not val.is_zero:
-                findings.append(
-                    ScanFinding(n, tuple(label(x) for x in tup), val)
-                )
+        def walk(prefix, word, has_a, has_b):
+            n = len(prefix)
+            if has_a and has_b and not word:
+                val = f.valuation(prefix)
+                if not val.is_zero:
+                    findings[n].append(ScanFinding(n, tuple(label(x) for x in prefix), val))
+            if n >= max_order:
+                return
+            room = (max_order - n - 1) * reach
+            for x, image, a, b in steps:
+                nxt = free_product(word, image)
+                if len(nxt) <= room:
+                    walk(prefix + (x,), nxt, has_a or a, has_b or b)
+
+        walk((), (), False, False)
+    size, out_a, out_b = len(pool), len(pool) - len(closed_a), len(pool) - len(closed_b)
+    checked = sum(size**n - out_a**n - out_b**n for n in range(1, max_order + 1))
     return MixedScanReport(
         tuple(label(x) for x in closed_a),
         tuple(label(x) for x in closed_b),
         max_order,
         checked,
-        tuple(findings),
+        tuple(itertools.chain.from_iterable(findings)),
     )

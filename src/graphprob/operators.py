@@ -26,7 +26,9 @@ FOCK = "fock"
 
 class Backend(Record):
     """Evaluation semantics tag; ``depth`` is the fock basis truncation.
-    Only ``gate`` and ``normal_form`` tell the kinds apart."""
+    The kinds differ in two places: ``gate``, which only fock has, and
+    ``cancellable``, the edges whose shared final occurrence
+    ``normal_form`` cancels."""
 
     kind: str
     depth: int = 0
@@ -48,6 +50,13 @@ class Backend(Record):
         """Raise DepthError when fock work needs more than the depth."""
         if not self.covers(need):
             raise DepthError(need, self.depth)
+
+    def cancellable(self, graph: Graph) -> frozenset[str]:
+        """The edges whose shared final occurrence the normal form
+        cancels: the sole exits of ``graph`` on axiomatic, none on fock.
+        A word with any other edge keeps it through every later product,
+        which is what ``AlgebraElement.visible`` relies on."""
+        return frozenset() if self.is_fock else graph.sole_exits
 
     def normal_form(self, m: Monomial) -> Monomial:
         """Axiomatic cancels shared final edges; fock gates the longer side."""
@@ -210,12 +219,16 @@ def free_product(u: tuple, v: tuple) -> tuple:
     return u[: len(u) - k] + v[k:]
 
 
+_AXIOMATIC = Backend.axiomatic()
+
+
 def cancel_final_segment(m: Monomial) -> Monomial:
     """Axiomatic canonical form: drop shared final edges of both sides
-    while each is the sole edge out of its initial vertex.  Cancelling at
-    a branching vertex would make the product depend on bracketing."""
+    while each is one the axiomatic backend cancels, the sole edge out of
+    its initial vertex.  Cancelling at a branching vertex would make the
+    product depend on bracketing."""
     p, q = m.creation, m.annihilation
-    sole = m.graph.sole_exits
+    sole = _AXIOMATIC.cancellable(m.graph)
     while p.edges and q.edges and p.edges[-1] == q.edges[-1] and p.edges[-1] in sole:
         p = p.drop_last_edge()
         q = q.drop_last_edge()

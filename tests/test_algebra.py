@@ -340,6 +340,43 @@ def test_moments_match_powers(name):
     assert split > 0 and rejected > 0
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_visible_cuts_keep_what_E_sees(name):
+    """Cutting a left factor to its visible creation words, or a right
+    factor to its visible annihilation words, commutes with further
+    products on that side and leaves every expectation as it was."""
+    g = load_fixture(name)
+    rng = random.Random(f"visible-{name}")
+    cut = 0
+    for backend in (AX, fock(8)):
+        pool = _seeded_elements(g, backend, rng, 2, 6)
+        for x in pool:
+            for side in ("creation", "annihilation"):
+                v = x.visible(side)
+                assert v.expectation() == x.expectation()
+                assert set(v.terms) <= set(x.terms)
+                cut += v != x
+        for _ in range(40):
+            x, y = rng.choice(pool), rng.choice(pool)
+            left, right = x.visible("creation"), y.visible("annihilation")
+            assert (x * y).visible("creation") == (left * y).visible("creation")
+            assert (x * y).visible("annihilation") == (x * right).visible("annihilation")
+            assert x.expect_product(y) == left.expect_product(right)
+    assert cut > 0
+
+
+def test_visible_words_are_those_of_cancellable_edges():
+    # mixed_exits: f and k are sole exits, the only edges axiomatic cancels.
+    g = load_fixture("mixed_exits")
+    for backend, kept in ((AX, {"f", "k"}), (fock(4), set())):
+        assert backend.cancellable(g) == kept
+        for e in g.edges:
+            x = AlgebraElement.generator(g, backend, parse_word(g, e.id))
+            assert x.visible("annihilation") == x
+            assert (x.visible("creation") == x) == (e.id in kept)
+            assert (x.adjoint().visible("annihilation") == x.adjoint()) == (e.id in kept)
+
+
 # ---- free-group images ----
 
 

@@ -369,6 +369,17 @@ def test_bad_element_expression(capsys):
     assert json.loads(err)["error"]["code"] == "domain-error"
 
 
+def test_element_digits_and_whitespace_are_ascii(capsys):
+    # An Arabic-Indic three is no coefficient, a no-break space no separator.
+    for text, at in (("\u0663 L[l]", 0), ("2\xa0L[l]", 1)):
+        code, out, err = run(capsys, "moments", ONE_LOOP, text)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "code": "domain-error",
+            "message": f"bad element syntax at position {at}: {text[at:at + 12]!r}",
+        }
+
+
 def test_request_faults_are_reported_in_a_fixed_order(capsys):
     # Every expression's syntax, then its words, then the backend options.
     def error(family_a, family_b):

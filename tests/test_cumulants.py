@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -17,11 +18,13 @@ from graphprob import (
     enumerate_paths,
     parse_word,
 )
-from graphprob.cli import main
+from graphprob.cli import main, parse_element
 from graphprob.cumulants import (
     CumulantSource,
+    MixedScanReport,
     NCPartition,
     PairSource,
+    ScanFinding,
     SeriesTerm,
     catalan,
     dressed_tags,
@@ -364,3 +367,78 @@ def test_mixed_scan_labels_and_shape(graphs):
     assert report.family_b == ("x*", "y", "x", "y*")
     assert report.tuples_checked == 2 + 12 + 56
     assert [(f.order, f.pattern) for f in report.nonzero] == [(2, ("x*", "x"))]
+
+
+def product_scan(family_a, family_b, max_order, *, labels=None):
+    """The reference scan: every tuple of ``itertools.product`` over the
+    pool, and ``valuation`` on each mixed one."""
+
+    def closure(family):
+        out = list(dict.fromkeys(family))
+        return list(dict.fromkeys(out + [a.adjoint() for a in out]))
+
+    closed_a, closed_b = closure(family_a), closure(family_b)
+    labels = dict(labels or {})
+
+    def label(x):
+        return labels.get(x, str(x))
+
+    pool = list(dict.fromkeys(closed_a + closed_b))
+    in_a, in_b = set(closed_a), set(closed_b)
+    f = CumulantFunctional()
+    findings = []
+    checked = 0
+    for n in range(1, max_order + 1):
+        for tup in itertools.product(pool, repeat=n):
+            if in_a.isdisjoint(tup) or in_b.isdisjoint(tup):
+                continue
+            checked += 1
+            val = f.valuation(tup)
+            if not val.is_zero:
+                findings.append(ScanFinding(n, tuple(label(x) for x in tup), val))
+    return MixedScanReport(
+        tuple(label(x) for x in closed_a),
+        tuple(label(x) for x in closed_b),
+        max_order,
+        checked,
+        tuple(findings),
+    )
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_scan_walk_matches_product_scan(name):
+    """The depth-first walk against every product tuple: monomial
+    families, sum families (no image, so nothing is pruned) and
+    overlapping families, on both backends; ``tuples_checked`` is the
+    closed form over the pool."""
+    g = load_fixture(name)
+    first, last = g.edges[0].id, g.edges[-1].id
+    two = next((f"{a.id}.{b.id}" for a in g.edges for b in g.edges if a.final == b.initial), None)
+    found = 0
+    for backend in (AX, Backend.fock(10)):
+
+        def el(text):
+            return parse_element(g, backend, text)
+
+        cases = [
+            ([el(f"L[{first}]")], [el(f"L[{last}]")], 5),
+            ([el(f"a:{first}")], [el(f"a:{last}")], 4),
+            ([el(f"L[{first}]")], [el(f"L*[{first}]"), el(f"L[{last}]")], 4),
+        ]
+        if two:
+            cases.append(([el(f"L[{first}]")], [el(f"L[{two}]"), el(f"a:{last}")], 3))
+            cases.append(([el(f"L[{first}]"), el(f"L[{last}]")], [el(f"L[{two}]")], 4))
+        for family_a, family_b, order in cases:
+            pool = family_a + family_b
+            labels = {x: f"x{i}" for i, x in enumerate(pool + [x.adjoint() for x in pool])}
+            report = mixed_cumulant_scan(family_a, family_b, order, labels=labels)
+            assert report == product_scan(family_a, family_b, order, labels=labels)
+            closed_a = set(family_a) | {x.adjoint() for x in family_a}
+            closed_b = set(family_b) | {x.adjoint() for x in family_b}
+            size = len(closed_a | closed_b)
+            assert report.tuples_checked == sum(
+                size**n - (size - len(closed_a)) ** n - (size - len(closed_b)) ** n
+                for n in range(1, order + 1)
+            )
+            found += len(report.nonzero)
+    assert found > 0
