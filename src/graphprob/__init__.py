@@ -11,65 +11,43 @@ exact over rational complex coefficients.  Analyzers compare moments,
 cumulants, and structural predictions across the two backends.
 """
 
-from .algebra import (
-    AlgebraElement,
-    DiagonalElement,
-    FaithfulnessReport,
-    faithfulness_probe,
-)
-from .analyzers import (
-    AuditReport,
-    DecompositionReport,
-    FreenessReport,
-    RDiagonalReport,
-    SemicircularReport,
-    build_semicircular_system,
-    check_freeness,
-    check_r_diagonal,
-    check_semicircular,
-    claims_audit,
-    decompose,
-)
-from .cumulants import (
-    CumulantFunctional,
-    CumulantSource,
-    DressedTag,
-    PairSource,
-    cumulant_to_moment,
-    dressed_tags,
-    mixed_cumulant_scan,
-)
-from .errors import (
-    ArityBoundError,
-    BackendMismatchError,
-    DepthError,
-    DomainError,
-    GraphSyntaxError,
-)
-from .graphs import (
-    Edge,
-    EdgeClasses,
-    Graph,
-    PathWord,
-    classify_edges,
-    concat,
-    diagram_distinct,
-    enumerate_paths,
-    parse_graph,
-    parse_word,
-    primitive_root,
-    strip_prefix,
-)
-from .operators import (
-    AXIOMATIC,
-    FOCK,
-    Backend,
-    GeneratorSymbol,
-    Monomial,
-    reduce_word,
-    required_depth,
-)
-from .scalars import Scalar
+# Each public name and the module that defines it.  A name's module is
+# imported on first use (PEP 562), so a command loads only its layers.
+_MODULES = {
+    **dict.fromkeys(
+        ("AlgebraElement", "DiagonalElement", "FaithfulnessReport", "faithfulness_probe"),
+        "algebra",
+    ),
+    **dict.fromkeys(
+        ("AuditReport", "FreenessReport", "RDiagonalReport", "SemicircularReport",
+         "build_semicircular_system", "check_freeness", "check_r_diagonal",
+         "check_semicircular", "claims_audit"),
+        "analyzers",
+    ),
+    **dict.fromkeys(
+        ("CumulantFunctional", "CumulantSource", "DressedTag", "PairSource",
+         "cumulant_to_moment", "dressed_tags", "mixed_cumulant_scan"),
+        "cumulants",
+    ),
+    **dict.fromkeys(
+        ("ArityBoundError", "BackendMismatchError", "DepthError", "DomainError",
+         "GraphSyntaxError"),
+        "errors",
+    ),
+    **dict.fromkeys(
+        ("Edge", "EdgeClasses", "Graph", "PathWord", "classify_edges", "concat",
+         "diagram_distinct", "enumerate_paths", "parse_graph", "parse_word",
+         "primitive_root", "strip_prefix"),
+        "graphs",
+    ),
+    **dict.fromkeys(
+        ("AXIOMATIC", "FOCK", "Backend", "GeneratorSymbol", "Monomial", "reduce_word",
+         "required_depth"),
+        "operators",
+    ),
+    "Scalar": "scalars",
+    **dict.fromkeys(("DecompositionReport", "decompose"), "structure"),
+}
 
 __version__ = "0.1.0"
 
@@ -123,3 +101,16 @@ __all__ = [
     "strip_prefix",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    module = _MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULES))

@@ -168,6 +168,16 @@ class DiagonalElement(Record):
         return " + ".join(f"{c}*L[@{v}]" for v, c in self.coeffs)
 
 
+class SeriesTerm(Record):
+    """The diagonal value at one order of a moment or cumulant series."""
+
+    order: int
+    value: DiagonalElement
+
+    def json_form(self) -> dict:
+        return {"order": self.order, **self.value.json_form()}
+
+
 class Support(Record):
     """Vertex and path words carrying nonzero coefficients."""
 
@@ -317,15 +327,17 @@ class AlgebraElement(Record):
     def _dress(self, d: DiagonalElement, side: str) -> "AlgebraElement":
         """The D_G-bimodule action: ``d * self`` with side "creation",
         ``self * d`` with side "annihilation".  Each term is scaled by d
-        at the initial vertex of that side's path word."""
+        at the initial vertex of that side's path word.  The terms stay
+        normal and sorted, and a product of nonzero scalars is nonzero,
+        so the result needs no ``make``."""
         if d.graph != self.graph:
             raise BackendMismatchError("diagonal from a different graph")
-        acc = {}
+        terms = []
         for m, c in self.terms:
             s = d.coeff(getattr(m, side).initial)
             if not s.is_zero:
-                acc[m] = s * c
-        return AlgebraElement.make(self.graph, self.backend, acc)
+                terms.append((m, s * c))
+        return AlgebraElement(self.graph, self.backend, tuple(terms))
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):

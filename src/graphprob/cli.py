@@ -6,6 +6,9 @@ is ``L[w] + L*[w]``, juxtaposition multiplies, vertex words are ``@v``.
 Exit codes: 0 on success, 1 on a reported domain error (a JSON error
 object goes to stderr), 2 on argument errors.  Output is deterministic
 for fixed inputs.
+
+Each command imports the layers above ``graphs`` when it runs, so a
+fresh interpreter compiles only the modules that command uses.
 """
 
 from __future__ import annotations
@@ -16,21 +19,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import AlgebraElement
-from .analyzers import (
-    AUDIT_DEPTHS,
-    check_freeness,
-    check_r_diagonal,
-    check_semicircular,
-    claims_audit,
-    decompose,
-    format_table,
-)
-from .cumulants import CumulantFunctional, SeriesTerm
 from .errors import DomainError
 from .graphs import IDENT_PATTERN, Graph, enumerate_paths, parse_graph, parse_word
-from .operators import Backend
 from .records import to_json
+from .structure import decompose, format_table
 
 
 # ---- element expression parsing ----
@@ -86,6 +78,8 @@ def ast_degree(graph: Graph, ast) -> int:
 
 
 def build_element(graph: Graph, backend: Backend, ast) -> AlgebraElement:
+    from .algebra import AlgebraElement
+
     total = AlgebraElement.zero(graph, backend)
     for coeff, factors in ast:
         if not factors:
@@ -120,34 +114,42 @@ def _load_graph(path: str) -> Graph:
         raise DomainError(f"cannot read graph file: {exc}") from None
 
 
-def _make_backend(args, degree: int, order: int) -> Backend:
+def _make_backend(args, degree: int, order: int, need: int | None = None) -> Backend:
     """The backend for work of degree ``degree`` up to order ``order``,
-    which needs fock depth ``degree * order``: a smaller ``--depth`` raises
-    DepthError here.  The automatic depth is ``max(1, degree) * order``."""
+    which needs fock depth ``need``, by default ``degree * order``: a
+    smaller ``--depth`` raises DepthError here.  The automatic depth is
+    ``max(1, degree) * order``."""
+    from .operators import Backend
+
     if args.backend == "axiomatic":
         if args.depth is not None:
             raise DomainError("depth applies to the fock backend")
         return Backend.axiomatic()
     depth = args.depth if args.depth is not None else max(1, degree) * order
     backend = Backend.fock(depth)
-    backend.gate(degree * order)
+    backend.gate(degree * order if need is None else need)
     return backend
 
 
-def _prepare(args, exprs, min_order: int, message: str):
-    """The backend and the elements a command works on.
+def _prepare(args, families, min_order: int, message: str):
+    """The backend and the elements a command works on, given one list
+    of expressions per family; the elements come back in one list.
 
-    The checks run in a fixed order, so a request with several faults
-    always reports the same one: graph file, order, expression syntax,
-    words, backend options and depth, element construction.
+    The work needs fock depth ``(max_order - 1) * larger + smaller``, the
+    largest and the smallest family degree: a mixed tuple of two families
+    holds an element of each, and with one family it is degree times
+    order.  The checks run in a fixed order, so a request with several
+    faults always reports the same one: graph file, order, expression
+    syntax, words, backend options and depth, element construction.
     """
     graph = _load_graph(args.graph)
     if args.max_order < min_order:
         raise DomainError(message)
-    asts = [parse_element_ast(text) for text in exprs]
-    degree = max((ast_degree(graph, ast) for ast in asts), default=0)
-    backend = _make_backend(args, degree, args.max_order)
-    return backend, [build_element(graph, backend, ast) for ast in asts]
+    asts = [[parse_element_ast(text) for text in family] for family in families]
+    degrees = sorted(max((ast_degree(graph, ast) for ast in f), default=0) for f in asts)
+    need = (args.max_order - 1) * degrees[-1] + degrees[0]
+    backend = _make_backend(args, degrees[-1], args.max_order, need)
+    return backend, [build_element(graph, backend, ast) for f in asts for ast in f]
 
 
 def _add_output_opts(p: argparse.ArgumentParser) -> None:
@@ -233,6 +235,8 @@ def cmd_decompose(args) -> str:
 
 def _render_series(args, name: str, a: AlgebraElement, backend: Backend, values) -> str:
     """The moments or cumulants of ``a``: ``values`` holds orders 1, 2, ..."""
+    from .algebra import SeriesTerm
+
     terms = [SeriesTerm(n, v) for n, v in enumerate(values, start=1)]
 
     def text():
@@ -243,26 +247,32 @@ def _render_series(args, name: str, a: AlgebraElement, backend: Backend, values)
 
 
 def cmd_moments(args) -> str:
-    backend, (a,) = _prepare(args, [args.element], 1, "max order must be positive")
+    backend, (a,) = _prepare(args, [[args.element]], 1, "max order must be positive")
     return _render_series(args, "moments", a, backend, a.moments(args.max_order))
 
 
 def cmd_cumulants(args) -> str:
-    backend, (a,) = _prepare(args, [args.element], 1, "max order must be positive")
+    from .cumulants import CumulantFunctional
+
+    backend, (a,) = _prepare(args, [[args.element]], 1, "max order must be positive")
     f = CumulantFunctional()
     values = [f.valuation((a,) * n) for n in range(1, args.max_order + 1)]
     return _render_series(args, "cumulants", a, backend, values)
 
 
 def cmd_check_semicircular(args) -> str:
+    from .analyzers import check_semicircular
+
     _, (a,) = _prepare(
-        args, [args.element], 2, "semicircularity needs max order at least 2"
+        args, [[args.element]], 2, "semicircularity needs max order at least 2"
     )
     report = check_semicircular(a, args.max_order)
     return _render(args, report.to_text, report.to_json_dict)
 
 
 def cmd_check_rdiagonal(args) -> str:
+    from .analyzers import check_r_diagonal
+
     graph = _load_graph(args.graph)
     if args.max_order < 2:
         raise DomainError("R-diagonality needs max order at least 2")
@@ -273,8 +283,10 @@ def cmd_check_rdiagonal(args) -> str:
 
 
 def cmd_check_freeness(args) -> str:
+    from .analyzers import check_freeness
+
     _, elements = _prepare(
-        args, args.family_a + args.family_b, 1, "max order must be positive"
+        args, [args.family_a, args.family_b], 1, "max order must be positive"
     )
     split = len(args.family_a)
     report = check_freeness(elements[:split], elements[split:], args.max_order)
@@ -282,6 +294,9 @@ def cmd_check_freeness(args) -> str:
 
 
 def cmd_audit(args) -> str:
+    from .analyzers import AUDIT_DEPTHS, claims_audit
+    from .operators import Backend
+
     graph = _load_graph(args.graph)
     # Degree 0: claims_audit gates the depth its rows need, at most the default.
     backends = [_make_backend(args, 0, max(AUDIT_DEPTHS.values()))]

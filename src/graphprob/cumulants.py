@@ -35,7 +35,7 @@ import itertools
 import math
 
 from .errors import ArityBoundError, DomainError
-from .algebra import AlgebraElement, DiagonalElement
+from .algebra import AlgebraElement, DiagonalElement, SeriesTerm  # noqa: F401  (re-exported)
 from .operators import free_product
 from .records import Record
 
@@ -324,16 +324,6 @@ class PairSource(CumulantSource):
         for slot in args:
             out = out * slot.right
         return out
-
-
-class SeriesTerm(Record):
-    """The diagonal value at one order of a moment or cumulant series."""
-
-    order: int
-    value: DiagonalElement
-
-    def json_form(self) -> dict:
-        return {"order": self.order, **self.value.json_form()}
 
 
 class ScanFinding(Record):

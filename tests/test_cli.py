@@ -293,13 +293,14 @@ def test_syntax_error_payload(tmp_path, capsys):
 
 def test_depth_error_payload(capsys):
     # A request needs its largest expression degree times its order,
-    # checked before any work: 1 * 4, 2 * 5 and 2 * 5 here.
+    # checked before any work: 1 * 4 and 2 * 5 here.  A freeness scan
+    # needs its mixed-tuple degree, (5 - 1) * 2 + 1 for degrees 2 and 1.
     cases = (
         (("moments", ONE_LOOP, "a:l", "--max-order", "4", "--depth", "2"), 4, 2),
         (("moments", str(fixture_path("bouquet3")), "a:l1.l2 + a:l3", "--max-order", "5",
           "--depth", "9"), 10, 9),
         (("check-freeness", C3, "--family-a", "L[e1.e2]", "--family-b", "L[e3]",
-          "--max-order", "5", "--depth", "2"), 10, 2),
+          "--max-order", "5", "--depth", "2"), 9, 2),
     )
     for argv, required, depth in cases:
         code, _, err = run(capsys, *argv)
@@ -331,6 +332,12 @@ def test_depth_error_names_a_depth_that_works(capsys):
         assert payload["code"] == "depth-insufficient" and payload["depth"] == int(argv[-1])
         assert payload["required"] > payload["depth"]
         assert run(capsys, *argv[:-1], str(payload["required"]))[0] == 0, argv
+    # For unequal families the mixed-tuple degree, 9 here, is enough, and
+    # gives the report of the automatic depth, 10.
+    freeness = ("check-freeness", C3, "--family-a", "L[e1.e2]", "--family-b", "L[e3]",
+                "--max-order", "5")
+    code, out, _ = run(capsys, *freeness, "--depth", "9")
+    assert (code, out.replace("depth=9", "depth=10")) == run(capsys, *freeness)[:2]
 
 
 def test_error_payload_bytes(tmp_path, capsys):
@@ -428,8 +435,43 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert done.stdout.strip() == ""
 
 
-# One command per analyzer report.  The benchmark's trace mode wraps each
-# report class's own to_text and to_json_dict, so renaming either breaks it.
+# The package modules a cold interpreter loads for each command, and
+# ("import") for importing graphprob.cli alone.
+GRAPH_LAYER = {"cli", "errors", "graphs", "records", "structure"}
+ALGEBRA_LAYER = GRAPH_LAYER | {"algebra", "operators", "scalars"}
+LOADS = (
+    ((), GRAPH_LAYER),
+    (("validate", C3), GRAPH_LAYER),
+    (("paths", C3), GRAPH_LAYER),
+    (("decompose", C3), GRAPH_LAYER),
+    (("moments", ONE_LOOP, "a:l"), ALGEBRA_LAYER),
+    (("cumulants", ONE_LOOP, "a:l"), ALGEBRA_LAYER | {"cumulants"}),
+    (("audit", ONE_LOOP), ALGEBRA_LAYER | {"cumulants", "analyzers"}),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, modules", LOADS, ids=[argv[0] if argv else "import" for argv, _ in LOADS]
+)
+def test_each_command_loads_only_its_layers(argv, modules):
+    # The package resolves its names on first use and each command imports
+    # its own layers, so the graph-only commands compile neither the
+    # algebra nor the brackets.  With no argv, only graphprob.cli is imported.
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import graphprob.cli\n"
+        "if sys.argv[2:]: assert graphprob.cli.main(sys.argv[2:]) == 0\n"
+        "sys.stderr.write(' '.join(m for m in sys.modules if m.startswith('graphprob.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(ROOT / "src"), *argv],
+        capture_output=True, text=True, check=True,
+    )
+    assert {m.removeprefix("graphprob.") for m in done.stderr.split()} == modules
+
+
+# One command per analyzer report, and moments, which imports its layers
+# as it runs.  The benchmark's trace mode wraps each report class's own
+# to_text and to_json_dict, so renaming either breaks it.
 TRACED = (
     ("check-semicircular", ONE_LOOP, "a:l", "--max-order", "4"),
     ("check-rdiagonal", C3, "e1", "--max-order", "4"),
@@ -437,6 +479,7 @@ TRACED = (
      "--family-b", "L[e2]", "--max-order", "3"),
     ("decompose", C3),
     ("audit", SINGLE_EDGE),
+    ("moments", ONE_LOOP, "a:l"),
 )
 
 

@@ -6,12 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from graphprob import (  # noqa: F401  (every module, see RECORDS)
+    algebra, analyzers, cli, cumulants, errors, graphs, operators, records, scalars, structure,
+)
 from graphprob.algebra import AlgebraElement, DiagonalElement, Support
 from graphprob.graphs import Edge, EdgeClasses, PathWord, parse_word
 from graphprob.operators import Backend, GeneratorSymbol, Monomial
 from graphprob.records import Record, to_json
 from graphprob.scalars import Scalar
 
+# Every module is imported above: the package loads its modules on first
+# use, and a class is among the subclasses only once its module is loaded.
 RECORDS = sorted(
     (cls for cls in Record.__subclasses__() if cls.__module__.startswith("graphprob.")),
     key=lambda cls: (cls.__module__, cls.__name__),
