@@ -17,22 +17,22 @@ prefix products keep after every step.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 
 from .errors import BackendMismatchError, DomainError
 from .graphs import Graph, PathWord
 from .operators import Backend, GeneratorSymbol, Monomial, compose, reduce_word
 from .records import Record
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
-_ScalarLike = (Scalar, int, Fraction)
+_ScalarLike = (Scalar, Rational)
 
 
 def _scalar(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, Rational):
         return Scalar.of(x)
     raise TypeError(f"not a scalar: {x!r}")
 
@@ -90,7 +90,7 @@ class DiagonalElement(Record):
         for u, c in self.coeffs:
             if u == v:
                 return c
-        return Scalar()
+        return ZERO
 
     def support(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.coeffs)
@@ -100,7 +100,7 @@ class DiagonalElement(Record):
             raise BackendMismatchError("diagonal sum over different graphs")
         acc = dict(self.coeffs)
         for v, c in other.coeffs:
-            acc[v] = acc.get(v, Scalar()) + c
+            acc[v] = acc.get(v, ZERO) + c
         return DiagonalElement.make(self.graph, acc)
 
     def __sub__(self, other: "DiagonalElement") -> "DiagonalElement":
@@ -216,7 +216,7 @@ class AlgebraElement(Record):
             if m.graph != graph:
                 raise BackendMismatchError("term monomial from a different graph")
             m = backend.normal_form(m)
-            acc[m] = acc.get(m, Scalar()) + c
+            acc[m] = acc.get(m, ZERO) + c
         terms = tuple(
             (m, c)
             for m, c in sorted(acc.items(), key=lambda mc: mc[0].sort_key())
@@ -285,7 +285,7 @@ class AlgebraElement(Record):
         self._check_compatible(other)
         acc = dict(self.terms)
         for m, c in other.terms:
-            acc[m] = acc.get(m, Scalar()) + c
+            acc[m] = acc.get(m, ZERO) + c
         return AlgebraElement.make(self.graph, self.backend, acc)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -349,7 +349,7 @@ class AlgebraElement(Record):
                     m = compose(m1, m2)
                     if m is None:
                         continue
-                    acc[m] = acc.get(m, Scalar()) + c1 * c2
+                    acc[m] = acc.get(m, ZERO) + c1 * c2
             return AlgebraElement.make(self.graph, self.backend, acc)
         if isinstance(other, DiagonalElement):
             return self._dress(other, "annihilation")
@@ -397,7 +397,7 @@ class AlgebraElement(Record):
                 m = backend.normal_form(m)
                 if m.is_vertex:
                     v = m.creation.initial
-                    acc[v] = acc.get(v, Scalar()) + c1 * c2
+                    acc[v] = acc.get(v, ZERO) + c1 * c2
         return DiagonalElement.make(self.graph, acc)
 
     def moments(self, n: int) -> list[DiagonalElement]:

@@ -13,10 +13,11 @@ each report class's own body, where tracing tools wrap them.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .algebra import AlgebraElement, DiagonalElement, SeriesTerm, faithfulness_probe
-from .cumulants import CumulantFunctional, MixedScanReport, ScanFinding, mixed_cumulant_scan
+from .cumulants import (
+    CumulantFunctional, MixedScanReport, ScanFinding, cumulant_series, mixed_cumulant_scan,
+)
 from .errors import DomainError
 from .graphs import Graph, PathWord, classify_edges, diagram_distinct
 from .operators import Backend
@@ -77,19 +78,12 @@ def check_semicircular(a: AlgebraElement, max_order: int) -> SemicircularReport:
     below ``max_order * a.degree`` raises DepthError before any bracket."""
     if not a.is_self_adjoint():
         raise DomainError("semicircularity check needs a self-adjoint element")
-    a.backend.gate(max_order * a.degree)
-    f = CumulantFunctional()
-    k2 = DiagonalElement.zero(a.graph)
-    offenders = []
-    for n in range(1, max_order + 1):
-        val = f.valuation((a,) * n)
-        if n == 2:
-            k2 = val
-        elif not val.is_zero:
-            offenders.append(SeriesTerm(n, val))
-    return SemicircularReport(
-        str(a), str(a.backend), max_order, k2, tuple(offenders), not offenders
+    values = cumulant_series(a, max_order)
+    k2 = values[1] if max_order >= 2 else DiagonalElement.zero(a.graph)
+    offenders = tuple(
+        SeriesTerm(n, v) for n, v in enumerate(values, start=1) if n != 2 and not v.is_zero
     )
+    return SemicircularReport(str(a), str(a.backend), max_order, k2, offenders, not offenders)
 
 
 # ==== R-diagonality ====
@@ -257,6 +251,8 @@ def _variance(graph: Graph, backend: Backend, word: PathWord) -> DiagonalElement
 
 
 def _half_variance(graph: Graph, backend: Backend, word: PathWord) -> DiagonalElement:
+    from fractions import Fraction  # the audit's only non-integral value
+
     return _variance(graph, backend, word) * Fraction(1, 2)
 
 

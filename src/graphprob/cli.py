@@ -17,7 +17,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .errors import DomainError
 from .graphs import IDENT_PATTERN, Graph, enumerate_paths, parse_graph, parse_word
@@ -40,7 +39,25 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_element_ast(text: str) -> list[tuple[Fraction, list[tuple[str, str]]]]:
+def _rational(text: str) -> int | Fraction:
+    """A ``digits ["/" digits]`` literal: an int when it is integral, and
+    only otherwise a ``Fraction``, so integer coefficients never load
+    ``fractions``."""
+    num, _, den = text.partition("/")
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError:  # more digits than the interpreter converts
+        raise DomainError(f"coefficient too long: {len(text)} characters") from None
+    if not q:
+        raise DomainError(f"zero denominator in coefficient {text!r}")
+    if not p % q:
+        return p // q
+    from fractions import Fraction
+
+    return Fraction(p, q)
+
+
+def parse_element_ast(text: str) -> list[tuple[int | Fraction, list[tuple[str, str]]]]:
     """Parse an element expression, whitespace allowed between tokens:
 
         element  := ["+"|"-"] term (("+"|"-") term)*
@@ -48,7 +65,8 @@ def parse_element_ast(text: str) -> list[tuple[Fraction, list[tuple[str, str]]]]
         factor   := "L[" word "]" | "L*[" word "]" | "a:" word
         rational := digits ["/" digits]
 
-    One (coefficient, factors) pair per term.  A factor is (kind, word):
+    One (coefficient, factors) pair per term; a coefficient is an int
+    when it is integral and a Fraction otherwise.  A factor is (kind, word):
     "lword" for ``L[w]``, "lstar" for ``L*[w]``, "sym" for ``a:w``."""
     terms, pos = [], 0
     while pos < len(text) or not terms:
@@ -57,10 +75,7 @@ def parse_element_ast(text: str) -> list[tuple[Fraction, list[tuple[str, str]]]]
         if not (signed and (m["rat"] or m["factors"])):
             at = m.end() if signed else pos
             raise DomainError(f"bad element syntax at position {at}: {text[at:at + 12]!r}")
-        try:
-            coeff = Fraction(m["rat"] or 1)
-        except ZeroDivisionError:
-            raise DomainError(f"zero denominator in coefficient {m['rat']!r}") from None
+        coeff = _rational(m["rat"]) if m["rat"] else 1
         factors = [(f.lastgroup, f[f.lastgroup]) for f in _FACTOR_RE.finditer(m["factors"])]
         terms.append((-coeff if m["sign"] == "-" else coeff, factors))
         pos = m.end()
@@ -252,12 +267,10 @@ def cmd_moments(args) -> str:
 
 
 def cmd_cumulants(args) -> str:
-    from .cumulants import CumulantFunctional
+    from .cumulants import cumulant_series
 
     backend, (a,) = _prepare(args, [[args.element]], 1, "max order must be positive")
-    f = CumulantFunctional()
-    values = [f.valuation((a,) * n) for n in range(1, args.max_order + 1)]
-    return _render_series(args, "cumulants", a, backend, values)
+    return _render_series(args, "cumulants", a, backend, cumulant_series(a, args.max_order))
 
 
 def cmd_check_semicircular(args) -> str:

@@ -275,6 +275,15 @@ class CumulantFunctional(CumulantSource):
         return total
 
 
+def cumulant_series(a: AlgebraElement, max_order: int) -> list[DiagonalElement]:
+    """The brackets k_n(a, ..., a) for n = 1..max_order, from one
+    functional whose memo the orders share.  A fock depth below
+    ``max_order * a.degree`` raises DepthError before any bracket."""
+    a.backend.gate(max_order * a.degree)
+    f = CumulantFunctional()
+    return [f.valuation((a,) * n) for n in range(1, max_order + 1)]
+
+
 def moment_to_cumulant(args) -> DiagonalElement:
     """k_n of a tuple of algebra elements."""
     return CumulantFunctional().valuation(tuple(args))

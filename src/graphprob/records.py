@@ -7,7 +7,7 @@ generate: fields, construction, equality, hash and repr.  Importing
 ``to_json`` is the one walk that turns records into JSON-ready values.
 """
 
-from fractions import Fraction
+from numbers import Rational
 from operator import attrgetter
 
 
@@ -20,7 +20,7 @@ class Record:
     their field tuple.  A subclass may define ``__post_init__`` to check
     or derive state, and a positional ``__init__`` for speed that sets
     each field with ``object.__setattr__`` and then calls
-    ``self.__post_init__()``.  Fields are set that way, not through
+    ``self.__post_init__()`` if it defines one.  Fields are set that way, not through
     ``self.__dict__``, because reading ``__dict__`` turns the instance's
     inline attribute values into a separate dict, and every later
     attribute read gets slower.
@@ -87,16 +87,22 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def num_den(x) -> str:
+    """A rational's JSON form ``"num/den"``; an int ``n`` is ``"n/1"``."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def to_json(value):
     """The JSON-ready form of a value: a record by its ``json_form``, a
-    tuple or list as a list, a dict with each value walked, a ``Fraction``
-    as ``"num/den"``, and anything else (str, int, bool, None) as it is."""
+    tuple or list as a list, a dict with each value walked, a rational
+    that is not an int (a ``Fraction``) as ``"num/den"``, and anything else
+    (str, int, bool, None) as it is."""
     if isinstance(value, Record):
         value = value.json_form()
     if isinstance(value, dict):
         return {key: to_json(v) for key, v in value.items()}
     if isinstance(value, (tuple, list)):
         return [to_json(v) for v in value]
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, Rational) and not isinstance(value, int):
+        return num_den(value)
     return value

@@ -1,40 +1,56 @@
-"""Exact complex scalars with rational real and imaginary parts."""
+"""Exact complex scalars with rational real and imaginary parts.
+
+A part is an ``int`` when it is integral and a ``fractions.Fraction`` only
+otherwise, so the integer coefficients of the usual laws (Catalan numbers,
+central binomials, their signed sums) cost int arithmetic.  Python's
+numeric tower mixes the two exactly, and an integral ``Fraction`` equals
+and hashes as its ``int``.  ``fractions`` is imported only where a
+non-integral value is born, so a command on integer coefficients never
+loads it (or ``decimal``, which it imports).
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from numbers import Rational
 
-from .records import Record
-
-_ZERO = Fraction(0)
+from .records import Record, num_den
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
+def _rational(x) -> Rational:
+    """``x`` as an exact rational: a str is parsed as ``Fraction(x)`` parses
+    it, and floats, ``Decimal`` and complex numbers are rejected."""
+    if isinstance(x, str):
+        from fractions import Fraction
+
         return Fraction(x)
+    if isinstance(x, Rational):
+        return x
     raise TypeError(f"not an exact rational: {x!r}")
 
 
 class Scalar(Record):
     """A complex number re + im*i with exact rational parts.
 
-    Equality is exact; there is no tolerance anywhere in the package.
-    Its JSON form is ``{"re": "num/den", "im": "num/den"}``, its fields.
+    Each part is an int when integral and a Fraction otherwise; the
+    constructor turns an integral Fraction into its int.  Equality is
+    exact; there is no tolerance anywhere in the package.  Its JSON form
+    is ``{"re": "num/den", "im": "num/den"}``, its fields.
     """
 
-    re: Fraction = _ZERO
-    im: Fraction = _ZERO
+    re: Rational = 0
+    im: Rational = 0
 
-    def __init__(self, re: Fraction = _ZERO, im: Fraction = _ZERO):
+    def __init__(self, re: Rational = 0, im: Rational = 0):
+        if re.__class__ is not int and re.denominator == 1:
+            re = re.numerator
+        if im.__class__ is not int and im.denominator == 1:
+            im = im.numerator
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
-        self.__post_init__()
 
     @staticmethod
     def of(re, im=0) -> "Scalar":
-        return Scalar(_frac(re), _frac(im))
+        return Scalar(_rational(re), _rational(im))
 
     @property
     def is_zero(self) -> bool:
@@ -44,9 +60,17 @@ class Scalar(Record):
         return not self.is_zero
 
     def __add__(self, other: "Scalar") -> "Scalar":
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        if not self.im and not other.im:
+            return Scalar(self.re + other.re)
         return Scalar(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        if not self.im and not other.im:
+            return Scalar(self.re - other.re)
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "Scalar":
@@ -54,21 +78,26 @@ class Scalar(Record):
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
+            if not self.im and not other.im:
+                return Scalar(self.re * other.re)
             return Scalar(
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,
             )
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return Scalar(self.re * other, self.im * other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return Scalar(self.re * other, self.im * other)
         return NotImplemented
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im)
+
+    def json_form(self) -> dict:
+        return {"re": num_den(self.re), "im": num_den(self.im)}
 
     def __str__(self) -> str:
         if not self.im:
@@ -80,4 +109,4 @@ class Scalar(Record):
 
 
 ZERO = Scalar()
-ONE = Scalar(Fraction(1))
+ONE = Scalar(1)

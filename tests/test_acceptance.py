@@ -1,8 +1,9 @@
 """End-to-end acceptance gate.
 
-Twelve checks, one per core guarantee: partition counts, moment/cumulant
+Thirteen checks, one per core guarantee: partition counts, moment/cumulant
 inversion, the abstract pair law, the defining relations on the path
-space, loop semicircularity against brute-force word oracles, corner
+space, loop semicircularity against brute-force word oracles, the
+one-loop laws at depth in exact integers, corner
 compressions, R-diagonality of a single edge, the freeness vs
 diagram-distinctness dictionary, nilpotency of non-loop generators,
 free-product block structure, bimodule behaviour of the brackets, and
@@ -42,7 +43,7 @@ from graphprob import (
     parse_word,
     reduce_word,
 )
-from graphprob.cumulants import catalan, enumerate_nc
+from graphprob.cumulants import catalan, cumulant_series, enumerate_nc
 from graphprob.operators import apply_generator_word, fock_apply
 from .conftest import FIXTURE_NAMES, fixture_path, load_fixture, load_golden
 
@@ -234,6 +235,49 @@ def test_semicircularity_one_loop(report):
         assert rows["R5"].computed["fock"] == "verdict true"
 
     report("semicircularity-one-loop", body)
+
+
+def _free_cumulants(moments):
+    """Scalar free cumulants k_1..k_N of moments m_1..m_N, in Fractions:
+    m_n is the sum over s of k_s times the sum, over compositions of
+    n - s into s nonnegative parts, of the products of the parts' moments
+    (m_0 = 1)."""
+    m = [Fraction(1)] + [Fraction(x) for x in moments]
+    size = len(moments)
+    # comp[s][j]: the composition sum of j into s parts.
+    comp = [[Fraction(int(s == j == 0)) for j in range(size + 1)] for s in range(size + 1)]
+    for s in range(1, size + 1):
+        for j in range(size + 1):
+            comp[s][j] = sum((m[i] * comp[s - 1][j - i] for i in range(j + 1)), Fraction(0))
+    k = [Fraction(0)] * (size + 1)
+    for n in range(1, size + 1):
+        k[n] = m[n] - sum((k[s] * comp[s][n - s] for s in range(1, n)), Fraction(0))
+    return k[1:]
+
+
+def test_one_loop_laws_at_depth(report):
+    # The larger, sign-alternating integers a coefficient bug corrupts
+    # first: a = L[l] + L*[l] on one loop is arcsine on axiomatic (L is
+    # unitary there) with moments C(2k, k), and semicircular on fock.
+    def body():
+        graph = load_fixture("one_loop")
+        loop = parse_word(graph, "l")
+
+        def law(n, even):
+            return 0 if n % 2 else even(n // 2)
+
+        arcsine = [law(n, lambda k: math.comb(2 * k, k)) for n in range(1, 13)]
+        semicircle = [law(n, catalan) for n in range(1, 13)]
+        for backend, want in ((Backend.axiomatic(), arcsine), (Backend.fock(12), semicircle)):
+            moments = AlgebraElement.symmetrized_generator(graph, backend, loop).moments(12)
+            assert moments == [DiagonalElement.make(graph, {"v": m}) for m in want]
+            assert all(type(d.coeff("v").re) is int for d in moments)
+        a = AlgebraElement.symmetrized_generator(graph, Backend.axiomatic(), loop)
+        want = _free_cumulants(arcsine[:10])
+        assert want[1::2] == [2, -2, 4, -10, 28]
+        assert cumulant_series(a, 10) == [DiagonalElement.make(graph, {"v": k}) for k in want]
+
+    report("one-loop-laws-at-depth", body)
 
 
 def test_identity_compression(report):

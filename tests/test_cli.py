@@ -102,6 +102,18 @@ def test_parse_element_long_expressions():
     assert str(err.value) == f"bad element syntax at position {len(bad) - 1}: '$'"
 
 
+def test_overlong_coefficient_is_a_domain_error(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts digit strings of any length")
+    for rat in ("1" * (limit + 1), "1/" + "3" * (limit + 1)):
+        want = (
+            '{"error": {"code": "domain-error", "message": "coefficient too long: '
+            f'{len(rat)} characters"}}}}\n'
+        )
+        assert run(capsys, "moments", ONE_LOOP, f"{rat} L[l]") == (1, "", want)
+
+
 def test_ast_degree(one_loop):
     assert ast_degree(one_loop, parse_element_ast("a:l.l")) == 2
     assert ast_degree(one_loop, parse_element_ast("L[l]L[l] + L[l]")) == 2
@@ -450,6 +462,21 @@ LOADS = (
 )
 
 
+def cold_modules(argv) -> set[str]:
+    """The modules a cold interpreter holds after ``main(argv)``, or after
+    importing graphprob.cli alone when argv is empty."""
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import graphprob.cli\n"
+        "if sys.argv[2:]: assert graphprob.cli.main(sys.argv[2:]) == 0\n"
+        "sys.stderr.write(' '.join(sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(ROOT / "src"), *argv],
+        capture_output=True, text=True, check=True,
+    )
+    return set(done.stderr.split())
+
+
 @pytest.mark.parametrize(
     "argv, modules", LOADS, ids=[argv[0] if argv else "import" for argv, _ in LOADS]
 )
@@ -457,16 +484,38 @@ def test_each_command_loads_only_its_layers(argv, modules):
     # The package resolves its names on first use and each command imports
     # its own layers, so the graph-only commands compile neither the
     # algebra nor the brackets.  With no argv, only graphprob.cli is imported.
-    probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import graphprob.cli\n"
-        "if sys.argv[2:]: assert graphprob.cli.main(sys.argv[2:]) == 0\n"
-        "sys.stderr.write(' '.join(m for m in sys.modules if m.startswith('graphprob.')))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", probe, str(ROOT / "src"), *argv],
-        capture_output=True, text=True, check=True,
-    )
-    assert {m.removeprefix("graphprob.") for m in done.stderr.split()} == modules
+    loaded = cold_modules(argv)
+    assert {m.removeprefix("graphprob.") for m in loaded if m.startswith("graphprob.")} == modules
+
+
+# Scalar parts are ints when integral, so only a non-integral value loads
+# fractions (and decimal, which it imports): a p/q literal, or the audit's
+# R6 row, which halves the variance.
+INTEGER_ONLY = (
+    ("decompose", C3),
+    ("moments", ONE_LOOP, "a:l"),
+    ("cumulants", ONE_LOOP, "2 a:l - L[l]L*[l]"),
+    ("check-semicircular", ONE_LOOP, "a:l", "--max-order", "4"),
+    ("check-freeness", str(fixture_path("parallel_edges")), "--family-a", "L[e1]",
+     "--family-b", "4/2 L[e2]", "--max-order", "3"),
+    ("check-rdiagonal", C3, "e1", "--max-order", "4"),
+)
+NON_INTEGRAL = (
+    ("moments", ONE_LOOP, "1/2 L[l]"),
+    ("audit", ONE_LOOP),
+)
+
+
+@pytest.mark.parametrize(
+    "argv", INTEGER_ONLY + NON_INTEGRAL,
+    ids=[a[0] for a in INTEGER_ONLY] + [f"{a[0]}-non-integral" for a in NON_INTEGRAL],
+)
+def test_only_non_integral_values_load_fractions(argv):
+    loaded = cold_modules(argv)
+    if argv in NON_INTEGRAL:
+        assert "fractions" in loaded
+    else:
+        assert not {"fractions", "decimal"} & loaded
 
 
 # One command per analyzer report, and moments, which imports its layers

@@ -27,6 +27,7 @@ from graphprob.cumulants import (
     ScanFinding,
     SeriesTerm,
     catalan,
+    cumulant_series,
     dressed_tags,
     enumerate_nc,
     moment_to_cumulant,
@@ -111,6 +112,19 @@ def test_brackets_evaluate_the_order_asked_for(one_loop, capsys):
     assert main(argv) == 0
     row = json.loads(capsys.readouterr().out)["cumulants"][-1]
     assert row == to_json(SeriesTerm(10, k10))
+
+
+def test_cumulant_series_is_each_order_bracket(one_loop):
+    """The series is k_n(a, ..., a) for n = 1..max_order, and a fock depth
+    below max_order times the degree (2 here) fails before any bracket."""
+    from graphprob import DepthError
+
+    sums = parse_element(one_loop, Backend.fock(12), "2 a:l - 1/3 L[l]L*[l]")
+    for a in (AlgebraElement.symmetrized_generator(one_loop, AX, parse_word(one_loop, "l")), sums):
+        assert cumulant_series(a, 6) == [moment_to_cumulant((a,) * n) for n in range(1, 7)]
+    with pytest.raises(DepthError) as err:
+        cumulant_series(sums, 7)
+    assert err.value.required == 14
 
 
 def test_nested_evaluate_interval_block(one_loop):
