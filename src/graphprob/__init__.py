@@ -19,15 +19,15 @@ _MODULES = {
         "algebra",
     ),
     **dict.fromkeys(
-        ("AuditReport", "FreenessReport", "RDiagonalReport", "SemicircularReport",
+        ("FreenessReport", "RDiagonalReport", "SemicircularReport",
          "build_semicircular_system", "check_freeness", "check_r_diagonal",
-         "check_semicircular", "claims_audit"),
+         "check_semicircular"),
         "analyzers",
     ),
+    **dict.fromkeys(("AuditReport", "claims_audit"), "audit"),
+    **dict.fromkeys(("CumulantFunctional", "CumulantSource", "mixed_cumulant_scan"), "cumulants"),
     **dict.fromkeys(
-        ("CumulantFunctional", "CumulantSource", "DressedTag", "PairSource",
-         "cumulant_to_moment", "dressed_tags", "mixed_cumulant_scan"),
-        "cumulants",
+        ("DressedTag", "PairSource", "cumulant_to_moment", "dressed_tags"), "nestings"
     ),
     **dict.fromkeys(
         ("ArityBoundError", "BackendMismatchError", "DepthError", "DomainError",

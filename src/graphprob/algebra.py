@@ -271,6 +271,15 @@ class AlgebraElement(Record):
             return None
         return self.terms[0][0].letters
 
+    @cached_property
+    def annihilation_vertex(self) -> str | None:
+        """The vertex v at which every term's annihilation word starts, or
+        None when the terms start at different vertices or the element is
+        zero.  With it, ``self * d`` is ``d(v) * self`` for every diagonal
+        d (``_dress``): a right dressing only scales the element."""
+        starts = {m.annihilation.initial for m, _ in self.terms}
+        return starts.pop() if len(starts) == 1 else None
+
     def _check_compatible(self, other: "AlgebraElement"):
         if self.graph != other.graph:
             raise BackendMismatchError("elements live over different graphs")

@@ -7,35 +7,35 @@ Exit codes: 0 on success, 1 on a reported domain error (a JSON error
 object goes to stderr), 2 on argument errors.  Output is deterministic
 for fixed inputs.
 
-Each command imports the layers above ``graphs`` when it runs, so a
-fresh interpreter compiles only the modules that command uses.
+Each command imports the layers above ``graphs`` when it runs, and the
+text table (``structure``) only when it renders text, so a fresh
+interpreter compiles only the modules that command uses.  A command line
+of plain tokens is parsed from ``_COMMANDS`` directly; argparse is
+imported only for help and usage errors (``_parse_plain``).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
+from types import SimpleNamespace
 
 from .errors import DomainError
 from .graphs import IDENT_PATTERN, Graph, enumerate_paths, parse_graph, parse_word
 from .records import to_json
-from .structure import decompose, format_table
 
 
 # ---- element expression parsing ----
 
-_WORD_RE = r"@?{0}(?:\.{0})*".format(IDENT_PATTERN)
-_FACTOR_RE = re.compile(
-    r"L\*\[(?P<lstar>{0})\]|L\[(?P<lword>{0})\]|a:(?P<sym>{0})".format(_WORD_RE)
-)
+_WORD = r"@?{0}(?:\.{0})*".format(IDENT_PATTERN)
+_FACTOR = r"L\*\[(?P<lstar>{0})\]|L\[(?P<lword>{0})\]|a:(?P<sym>{0})".format(_WORD)
 # One term and the whitespace after it (and before it, for the first term).
-# Digits and whitespace are ASCII only.
-_TERM_RE = re.compile(
+# Digits and whitespace are ASCII only.  The patterns are compiled on
+# first use (``re`` caches them), so commands without expressions skip it.
+_TERM = (
     r"\s*(?P<sign>[+-]?)\s*(?:(?P<rat>\d+(?:/\d+)?)\s*(?:\*\s*)?)?"
-    r"(?P<factors>(?:(?:" + _FACTOR_RE.pattern + r")\s*)*)",
-    re.ASCII,
+    r"(?P<factors>(?:(?:" + _FACTOR + r")\s*)*)"
 )
 
 
@@ -68,15 +68,16 @@ def parse_element_ast(text: str) -> list[tuple[int | Fraction, list[tuple[str, s
     One (coefficient, factors) pair per term; a coefficient is an int
     when it is integral and a Fraction otherwise.  A factor is (kind, word):
     "lword" for ``L[w]``, "lstar" for ``L*[w]``, "sym" for ``a:w``."""
+    term_re, factor_re = re.compile(_TERM, re.ASCII), re.compile(_FACTOR)
     terms, pos = [], 0
     while pos < len(text) or not terms:
-        m = _TERM_RE.match(text, pos)
+        m = term_re.match(text, pos)
         signed = m["sign"] or not terms
         if not (signed and (m["rat"] or m["factors"])):
             at = m.end() if signed else pos
             raise DomainError(f"bad element syntax at position {at}: {text[at:at + 12]!r}")
         coeff = _rational(m["rat"]) if m["rat"] else 1
-        factors = [(f.lastgroup, f[f.lastgroup]) for f in _FACTOR_RE.finditer(m["factors"])]
+        factors = [(f.lastgroup, f[f.lastgroup]) for f in factor_re.finditer(m["factors"])]
         terms.append((-coeff if m["sign"] == "-" else coeff, factors))
         pos = m.end()
     return terms
@@ -129,57 +130,46 @@ def _load_graph(path: str) -> Graph:
         raise DomainError(f"cannot read graph file: {exc}") from None
 
 
-def _make_backend(args, degree: int, order: int, need: int | None = None) -> Backend:
-    """The backend for work of degree ``degree`` up to order ``order``,
-    which needs fock depth ``need``, by default ``degree * order``: a
-    smaller ``--depth`` raises DepthError here.  The automatic depth is
-    ``max(1, degree) * order``."""
+def _make_backend(args, auto_depth: int) -> Backend:
+    """The backend the options name; fock takes ``--depth``, by default
+    ``auto_depth``.  Callers gate the depth their work needs."""
     from .operators import Backend
 
     if args.backend == "axiomatic":
         if args.depth is not None:
             raise DomainError("depth applies to the fock backend")
         return Backend.axiomatic()
-    depth = args.depth if args.depth is not None else max(1, degree) * order
-    backend = Backend.fock(depth)
-    backend.gate(degree * order if need is None else need)
-    return backend
+    return Backend.fock(auto_depth if args.depth is None else args.depth)
 
 
 def _prepare(args, families, min_order: int, message: str):
     """The backend and the elements a command works on, given one list
     of expressions per family; the elements come back in one list.
 
-    The work needs fock depth ``(max_order - 1) * larger + smaller``, the
-    largest and the smallest family degree: a mixed tuple of two families
-    holds an element of each, and with one family it is degree times
-    order.  The checks run in a fixed order, so a request with several
-    faults always reports the same one: graph file, order, expression
-    syntax, words, backend options and depth, element construction.
+    Building the elements needs fock depth their written degree
+    (``ast_degree``).  The work needs ``(max_order - 1) * larger +
+    smaller`` of the built elements' family degrees, which words that
+    cancel make smaller: a mixed tuple of two families holds an element
+    of each, and with one family it is degree times order.  A depth too
+    small to build with still builds, at the written degree, so that its
+    error names a depth that covers the work too.  The automatic depth is
+    the written degree times the order.  Faults are reported in a fixed
+    order: graph file, order, expression syntax, words, backend options,
+    element construction, depth.
     """
+    from .operators import Backend
+
     graph = _load_graph(args.graph)
     if args.max_order < min_order:
         raise DomainError(message)
     asts = [[parse_element_ast(text) for text in family] for family in families]
-    degrees = sorted(max((ast_degree(graph, ast) for ast in f), default=0) for f in asts)
-    need = (args.max_order - 1) * degrees[-1] + degrees[0]
-    backend = _make_backend(args, degrees[-1], args.max_order, need)
-    return backend, [build_element(graph, backend, ast) for f in asts for ast in f]
-
-
-def _add_output_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default=None, metavar="FILE")
-
-
-def _add_backend_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=("fock", "axiomatic"), default="fock")
-    p.add_argument(
-        "--depth",
-        type=int,
-        default=None,
-        help="fock truncation depth (default: scales with order and word length)",
-    )
+    written = max(ast_degree(graph, ast) for family in asts for ast in family)
+    backend = _make_backend(args, max(1, written) * args.max_order)
+    builder = backend if backend.covers(written) else Backend.fock(written)
+    elements = [[build_element(graph, builder, ast) for ast in family] for family in asts]
+    degrees = sorted(max(x.degree for x in family) for family in elements)
+    backend.gate(max(written, (args.max_order - 1) * degrees[-1] + degrees[0]))
+    return backend, [x for family in elements for x in family]
 
 
 def _render(args, text_fn, json_fn) -> str:
@@ -221,6 +211,8 @@ def cmd_paths(args) -> str:
     words = enumerate_paths(graph, args.max_len)
 
     def text():
+        from .structure import format_table
+
         rows = [
             [str(w), w.initial, w.final, str(w.length), "yes" if w.is_loop else "no"]
             for w in words
@@ -243,6 +235,8 @@ def cmd_paths(args) -> str:
 
 
 def cmd_decompose(args) -> str:
+    from .structure import decompose
+
     graph = _load_graph(args.graph)
     report = decompose(graph, args.loop_bound)
     return _render(args, report.to_text, report.to_json_dict)
@@ -255,6 +249,8 @@ def _render_series(args, name: str, a: AlgebraElement, backend: Backend, values)
     terms = [SeriesTerm(n, v) for n, v in enumerate(values, start=1)]
 
     def text():
+        from .structure import format_table
+
         rows = [[str(t.order), str(t.value)] for t in terms]
         return "\n".join([f"{name} of {a}  [{backend}]", format_table(["order", "value"], rows)])
 
@@ -290,7 +286,8 @@ def cmd_check_rdiagonal(args) -> str:
     if args.max_order < 2:
         raise DomainError("R-diagonality needs max order at least 2")
     word = parse_word(graph, args.word)
-    backend = _make_backend(args, word.length, args.max_order)
+    backend = _make_backend(args, max(1, word.length) * args.max_order)
+    backend.gate(word.length * args.max_order)
     report = check_r_diagonal(graph, backend, word, args.max_order)
     return _render(args, report.to_text, report.to_json_dict)
 
@@ -307,12 +304,12 @@ def cmd_check_freeness(args) -> str:
 
 
 def cmd_audit(args) -> str:
-    from .analyzers import AUDIT_DEPTHS, claims_audit
+    from .audit import AUDIT_DEPTHS, claims_audit
     from .operators import Backend
 
     graph = _load_graph(args.graph)
-    # Degree 0: claims_audit gates the depth its rows need, at most the default.
-    backends = [_make_backend(args, 0, max(AUDIT_DEPTHS.values()))]
+    # claims_audit gates the depth its rows need, at most the default.
+    backends = [_make_backend(args, max(AUDIT_DEPTHS.values()))]
     if args.backend == "both":
         backends.insert(0, Backend.axiomatic())
     report = claims_audit(graph, backends)
@@ -321,78 +318,130 @@ def cmd_audit(args) -> str:
 
 # ---- driver ----
 
-
-def _add_command(sub, name: str, func, help: str, *arguments, backend=False) -> None:
-    """One subcommand: the graph file, then its own arguments as
-    ``(flags, options)`` pairs, then the backend and output options."""
-    p = sub.add_parser(name, help=help)
-    p.add_argument("graph")
-    for flags, options in arguments:
-        p.add_argument(*flags, **options)
-    if backend:
-        _add_backend_opts(p)
-    _add_output_opts(p)
-    p.set_defaults(func=func)
-
-
-def _arg(*flags, **options):
-    return flags, options
+_OUTPUT_OPTS = (
+    ("--format", {"choices": ("text", "json"), "default": "text"}),
+    ("--output", {"default": None, "metavar": "FILE"}),
+)
+_BACKEND_OPTS = (
+    ("--backend", {"choices": ("fock", "axiomatic"), "default": "fock"}),
+    ("--depth", {"type": int, "default": None,
+                 "help": "fock truncation depth (default: scales with order and word length)"}),
+)
+_EXPR_HELP = "element expression, e.g. 'a:l' or 'L[e] + L*[e]'"
+_FAMILY = {"action": "append", "required": True, "metavar": "EXPR"}
 
 
 def _max_order(default: int):
-    return _arg("--max-order", type=int, default=default)
+    return ("--max-order", {"type": int, "default": default})
 
 
-def _parser() -> argparse.ArgumentParser:
+# Each command: its help line and its arguments after the graph file, as
+# (name, argparse options) in the order its --help lists them.  A
+# command's function is the module's cmd_<name>, looked up when parsing.
+_COMMANDS = {
+    "validate": ("parse a graph file and echo its contents", _OUTPUT_OPTS),
+    "paths": ("enumerate admissible words up to a length",
+              (("--max-len", {"type": int, "default": 3}), *_OUTPUT_OPTS)),
+    "decompose": ("free product block decomposition",
+                  (("--loop-bound", {"type": int, "default": 3}), *_OUTPUT_OPTS)),
+    "moments": ("diagonal moments E(a^n)",
+                (("element", {"help": _EXPR_HELP}), _max_order(4), *_BACKEND_OPTS,
+                 *_OUTPUT_OPTS)),
+    "cumulants": ("diagonal cumulants k_n(a, ..., a)",
+                  (("element", {}), _max_order(4), *_BACKEND_OPTS, *_OUTPUT_OPTS)),
+    "check-semicircular": ("is the element semicircular?",
+                           (("element", {}), _max_order(6), *_BACKEND_OPTS, *_OUTPUT_OPTS)),
+    "check-rdiagonal": ("is the word generator R-diagonal?",
+                        (("word", {"help": "path word, e.g. 'e' or 'e1.e2'"}), _max_order(6),
+                         *_BACKEND_OPTS, *_OUTPUT_OPTS)),
+    "check-freeness": ("mixed cumulants of two families",
+                       (("--family-a", _FAMILY), ("--family-b", _FAMILY), _max_order(4),
+                        *_BACKEND_OPTS, *_OUTPUT_OPTS)),
+    "audit": ("stated-vs-computed audit table",
+              (("--backend", {"choices": ("both", "fock", "axiomatic"), "default": "both"}),
+               ("--depth", {"type": int, "default": None}), *_OUTPUT_OPTS)),
+}
+
+
+def _arguments(command: str):
+    return (("graph", {}), *_COMMANDS[command][1])
+
+
+def _func(command: str):
+    return globals()["cmd_" + command.replace("-", "_")]
+
+
+def _parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="graphprob",
         description="exact workbench for graph-indexed operator distributions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    expr_help = "element expression, e.g. 'a:l' or 'L[e] + L*[e]'"
-    _add_command(sub, "validate", cmd_validate, "parse a graph file and echo its contents")
-    _add_command(
-        sub, "paths", cmd_paths, "enumerate admissible words up to a length",
-        _arg("--max-len", type=int, default=3),
-    )
-    _add_command(
-        sub, "decompose", cmd_decompose, "free product block decomposition",
-        _arg("--loop-bound", type=int, default=3),
-    )
-    _add_command(
-        sub, "moments", cmd_moments, "diagonal moments E(a^n)",
-        _arg("element", help=expr_help), _max_order(4), backend=True,
-    )
-    _add_command(
-        sub, "cumulants", cmd_cumulants, "diagonal cumulants k_n(a, ..., a)",
-        _arg("element"), _max_order(4), backend=True,
-    )
-    _add_command(
-        sub, "check-semicircular", cmd_check_semicircular, "is the element semicircular?",
-        _arg("element"), _max_order(6), backend=True,
-    )
-    _add_command(
-        sub, "check-rdiagonal", cmd_check_rdiagonal, "is the word generator R-diagonal?",
-        _arg("word", help="path word, e.g. 'e' or 'e1.e2'"), _max_order(6), backend=True,
-    )
-    family = {"action": "append", "required": True, "metavar": "EXPR"}
-    _add_command(
-        sub, "check-freeness", cmd_check_freeness, "mixed cumulants of two families",
-        _arg("--family-a", **family), _arg("--family-b", **family), _max_order(4), backend=True,
-    )
-    _add_command(
-        sub, "audit", cmd_audit, "stated-vs-computed audit table",
-        _arg("--backend", choices=("both", "fock", "axiomatic"), default="both"),
-        _arg("--depth", type=int, default=None),
-    )
+    for command, (summary, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, options in _arguments(command):
+            p.add_argument(name, **options)
+        p.set_defaults(func=_func(command))
     return parser
 
 
+def _parse_plain(argv):
+    """The namespace ``_parser().parse_args(argv)`` gives, for a command
+    line of plain tokens only: a command name, then positionals and exact
+    option names, each option followed by a value that does not start
+    with "-" and that passes its ``type`` and ``choices``.  Anything else
+    (help, ``--opt=value``, abbreviations, ``--``, bad, missing or extra
+    values) gives None, and argparse parses it, or prints its help or
+    usage error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command = argv[0]
+    arguments = _arguments(command)
+    options = {name: spec for name, spec in arguments if name.startswith("-")}
+    values: dict = {}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        spec = options.get(token)
+        value = next(tokens, None)
+        if spec is None or value is None or value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        if spec.get("action") == "append":
+            values.setdefault(token, []).append(value)
+        else:
+            values[token] = value
+    names = [name for name, _ in arguments if not name.startswith("-")]
+    if len(positionals) != len(names):
+        return None
+    if any(spec.get("required") and name not in values for name, spec in options.items()):
+        return None
+    values.update(zip(names, positionals))
+    fields = {"command": command, "func": _func(command)}
+    for name, spec in arguments:
+        fields[name.lstrip("-").replace("-", "_")] = values.get(name, spec.get("default"))
+    return SimpleNamespace(**fields)
+
+
 def main(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else int(exc.code)
     try:
         out = args.func(args) + "\n"
         if args.output is None:

@@ -1,17 +1,28 @@
-"""Non-crossing partitions and diagonal-valued moment/cumulant transforms.
+"""Diagonal-valued brackets of algebra elements, and the mixed-cumulant scan.
 
-The bracket convention: a nested sub-partition's value right-multiplies
-the argument to its left inside the enclosing block, and outer blocks
-multiply left to right in the diagonal.  With that convention the
-subtraction recursion
+The brackets are Speicher's D_G-valued cumulants.  Their convention: a
+nested sub-partition's value right-multiplies the argument to its left
+inside the enclosing block, and outer blocks multiply left to right in
+the diagonal.  Grouping the non-crossing partitions of 1..n by the block
+B that holds 1, the nestings inside each gap of B and after it sum to
+moments, so
 
-    k_n(a_1, ..., a_n) = E(a_1 ... a_n) - sum over proper non-crossing
-    partitions of the nested lower brackets
+    k_n(a_1, ..., a_n) = E(a_1 ... a_n)
+        - sum over first blocks B = (1 = b_1 < ... < b_m), m < n, of
+          k_m(a_(b_1) g_1, ..., a_(b_m) g_m) * E(tail)
 
-inverts exactly, without Moebius coefficients.  Every such sum is taken
-by the first-block recursion: per span, each block holding its first
-position, with gap and tail sums computed once, so a top-level bracket
-visits at most 2^(n-1) - 1 first blocks, not Catalan(n) - 1 partitions.
+with g_i = E(a_(b_i + 1) ... a_(b_(i+1) - 1)), the moment of the gap
+after b_i (the unit when there is none), and E(tail) that of
+a_(b_m + 1) ... a_n.  No Moebius coefficients appear, and a bracket
+visits at most 2^(n-1) - 1 first blocks, never Catalan(n) - 1
+partitions.
+
+Brackets are D_G-bimodule multilinear.  When every term of a_(b_i)
+leaves one vertex v (``AlgebraElement.annihilation_vertex``: every
+monomial, and ``a:l`` on a loop), ``a_(b_i) g_i`` is g_i(v) times
+a_(b_i), so the slot keeps a_(b_i) and the block's value is scaled by
+g_i(v).  Lower brackets then repeat the same argument tuples and hit
+the memo.
 
 Brackets are graded by the free-group image (``AlgebraElement.image``):
 products multiply images and E keeps only image 1, so a bracket whose
@@ -19,78 +30,40 @@ arguments' images multiply to something else is zero.  Where the images
 are known, a bracket evaluates only balanced tuples and visits only the
 first blocks whose gaps and tail are balanced, and a mixed scan walks
 only the prefixes that can still balance.  An unknown image (a sum of
-differently graded terms) counts as balanced.  ``enumerate_nc`` and
-``nested_evaluate`` remain as the ungraded brute-force reference.
+differently graded terms) counts as balanced.
 
-A bracket's moment ``E(a_1 ... a_n)`` joins the prefix product
-``a_1 ... a_(n-1)`` with ``a_n`` on vertex terms.  Prefix products are
-memoized per argument prefix, so sibling tuples and nested brackets
-share them, and each is cut to the terms E can still see
-(``AlgebraElement.visible``).
+A moment ``E(a_1 ... a_n)`` joins the prefix product ``a_1 ... a_(n-1)``
+with ``a_n`` on vertex terms.  Moments are memoized per argument tuple,
+and prefix products per argument prefix, each product cut to the terms
+E can still see (``AlgebraElement.visible``).  Explicit sums over
+nestings (``cumulant_to_moment``, the abstract ``PairSource``, and the
+brute-force reference ``enumerate_nc`` with ``nested_evaluate``) live in
+``nestings`` and are re-exported here on first use.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
-from .errors import ArityBoundError, DomainError
+from .errors import DomainError
 from .algebra import AlgebraElement, DiagonalElement, SeriesTerm  # noqa: F401  (re-exported)
 from .operators import free_product
 from .records import Record
 
-NC_ENUMERATION_LIMIT = 10
+# The explicit nesting sums and the brute-force reference live in
+# nestings; re-exported here on first use.
+_NESTINGS_NAMES = ("NC_ENUMERATION_LIMIT", "NCPartition", "catalan", "enumerate_nc",
+                   "nested_evaluate", "moment_to_cumulant", "cumulant_to_moment",
+                   "DressedTag", "dressed_tags", "PairSource")
 
 
-def catalan(k: int) -> int:
-    """The k-th Catalan number C(2k, k) / (k + 1)."""
-    if k < 0:
-        raise DomainError("catalan numbers need k >= 0")
-    return math.comb(2 * k, k) // (k + 1)
+def __getattr__(name):
+    if name not in _NESTINGS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import nestings
 
-
-def _blocks_cross(b1, b2) -> bool:
-    # Merge the two blocks and count label alternations; three or more
-    # switches is exactly the a < b < c < d interleaving pattern.
-    merged = sorted([(p, 0) for p in b1] + [(p, 1) for p in b2])
-    switches = 0
-    for i in range(1, len(merged)):
-        if merged[i][1] != merged[i - 1][1]:
-            switches += 1
-    return switches >= 3
-
-
-class NCPartition(Record):
-    """A non-crossing partition of {1, ..., n}, blocks ordered by minimum."""
-
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen = set()
-        last_min = 0
-        for block in self.blocks:
-            if not block:
-                raise DomainError("empty block")
-            if any(b <= a for a, b in zip(block, block[1:])):
-                raise DomainError("block elements must increase")
-            if block[0] <= last_min:
-                raise DomainError("blocks must be ordered by their minima")
-            last_min = block[0]
-            seen.update(block)
-        total = sum(len(block) for block in self.blocks)
-        if seen != set(range(1, self.n + 1)) or total != self.n:
-            raise DomainError(f"blocks do not partition 1..{self.n}")
-        for b1, b2 in itertools.combinations(self.blocks, 2):
-            if _blocks_cross(b1, b2):
-                raise DomainError(f"crossing blocks: {b1} and {b2}")
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.blocks) == 1
-
-    def __str__(self) -> str:
-        return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
+    value = globals()[name] = getattr(nestings, name)
+    return value
 
 
 def _first_blocks(lo: int, hi: int, balanced=lambda i, j: True) -> list[tuple[int, ...]]:
@@ -115,29 +88,6 @@ def _first_blocks(lo: int, hi: int, balanced=lambda i, j: True) -> list[tuple[in
     return out
 
 
-def _nc_of(lo: int, hi: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    if lo > hi:
-        return ((),)
-    out = []
-    for head in _first_blocks(lo, hi):
-        ends = head[1:] + (hi + 1,)
-        parts = [_nc_of(b + 1, e - 1) for b, e in zip(head, ends)]
-        for combo in itertools.product(*parts):
-            out.append(tuple(sorted((head,) + sum(combo, ()))))
-    return tuple(out)
-
-
-def enumerate_nc(n: int) -> tuple[NCPartition, ...]:
-    """All non-crossing partitions of {1..n}; |result| is the n-th Catalan
-    number.  The brute-force reference for the bracket recursion, which
-    never enumerates; the limit caps this enumeration only."""
-    if n < 1:
-        raise DomainError("non-crossing partitions need n >= 1")
-    if n > NC_ENUMERATION_LIMIT:
-        raise ArityBoundError(f"enumeration bound exceeded: {n} > {NC_ENUMERATION_LIMIT}")
-    return tuple(NCPartition(n, blocks) for blocks in _nc_of(1, n))
-
-
 class CumulantSource:
     """Order-indexed brackets with diagonal values, summed over nestings.
 
@@ -148,53 +98,6 @@ class CumulantSource:
 
     def valuation(self, args) -> DiagonalElement:
         raise NotImplementedError
-
-
-def _nestings(args, source: CumulantSource, first_blocks) -> DiagonalElement:
-    """Sum the nestings of brackets on positions 1..n whose block at the
-    start of each span (lo, hi) is one of ``first_blocks(lo, hi)``; each
-    span's sum is computed once per call, and a span with no block is
-    zero.  A slot before a gap is dressed as ``arg * span(gap)``."""
-    memo: dict = {}
-
-    def span(lo: int, hi: int) -> DiagonalElement:
-        if (lo, hi) in memo:
-            return memo[lo, hi]
-        total = None
-        for block in first_blocks(lo, hi):
-            slots = []
-            for b, nxt in zip(block, block[1:] + (None,)):
-                arg = args[b - 1]
-                if nxt is not None and nxt > b + 1:
-                    arg = arg * span(b + 1, nxt - 1)
-                slots.append(arg)
-            val = source.valuation(tuple(slots))
-            if block[-1] < hi and not val.is_zero:
-                val = val * span(block[-1] + 1, hi)
-            total = val if total is None else total + val
-        if total is None:
-            total = DiagonalElement.zero(args[0].graph)
-        memo[lo, hi] = total
-        return total
-
-    return span(1, len(args))
-
-
-def nested_evaluate(pi: NCPartition, args, source: CumulantSource) -> DiagonalElement:
-    """Evaluate one non-crossing nesting of brackets; summed over
-    ``enumerate_nc``, the brute-force reference for the recursion.
-
-    Outer blocks multiply left to right; inside a block, the value of the
-    sub-partition nested in a gap right-multiplies the argument before
-    the gap.
-    """
-    args = tuple(args)
-    if len(args) != pi.n:
-        raise DomainError(
-            f"arity mismatch: partition of {pi.n}, {len(args)} arguments"
-        )
-    starting = {block[0]: block for block in pi.blocks}
-    return _nestings(args, source, lambda lo, hi: (starting[lo],))
 
 
 def _grading(args):
@@ -221,18 +124,19 @@ def _grading(args):
 
 class CumulantFunctional(CumulantSource):
     """The cumulants of algebra elements, by the graded first-block
-    recursion.
+    recursion over memoized gap moments (see the module docstring).
 
-    Values are memoized per argument tuple, and the prefix products
-    a_1...a_k per argument prefix, each cut to the terms E can still see
-    (``AlgebraElement.visible``); so one functional instance shared
-    across a scan or a series avoids recomputing lower brackets and
-    shared prefixes.  The depth gate takes the arguments' total degree,
-    the bound on every product's degree, before a bracket is evaluated.
+    Values are memoized per argument tuple, moments per argument tuple
+    and prefix products per argument prefix, so one functional instance
+    shared across a scan or a series computes each lower bracket, gap
+    moment and shared prefix once.  The depth gate takes the arguments'
+    total degree, the bound on every product's degree, before a bracket
+    is evaluated.
     """
 
     def __init__(self):
         self._memo: dict = {}
+        self._moments: dict = {}
         self._prefixes: dict = {}
 
     def _prefix(self, args) -> AlgebraElement:
@@ -242,6 +146,50 @@ class CumulantFunctional(CumulantSource):
             prod = args[0] if len(args) == 1 else self._prefix(args[:-1]) * args[-1]
             prod = self._prefixes[args] = prod.visible("creation")
         return prod
+
+    def _moment(self, args) -> DiagonalElement:
+        """E(a_1 ... a_n); the last factor only feeds the expectation, so
+        it is joined on vertex terms instead of multiplied out."""
+        value = self._moments.get(args)
+        if value is None:
+            if len(args) == 1:
+                value = args[0].expectation()
+            else:
+                value = self._prefix(args[:-1]).expect_product(args[-1])
+            self._moments[args] = value
+        return value
+
+    def _block(self, args, block) -> DiagonalElement | None:
+        """The term of the first block ``block``: its bracket, with each
+        gap's moment dressing the slot before it, times the moment of the
+        tail; None when a dressing or the tail is zero."""
+        last = block[-1]
+        tail = self._moment(args[last:]) if last < len(args) else None
+        if tail is not None and tail.is_zero:
+            return None
+        slots, scale = [], None
+        for b, nxt in zip(block, block[1:] + (last + 1,)):
+            arg = args[b - 1]
+            if nxt > b + 1:
+                gap = self._moment(args[b:nxt - 1])
+                v = arg.annihilation_vertex
+                if v is None:
+                    arg = arg * gap
+                    if arg.is_zero:
+                        return None
+                else:
+                    # arg * gap is gap(v) * arg: keep arg, scale the value.
+                    c = gap.coeff(v)
+                    if c.is_zero:
+                        return None
+                    scale = c if scale is None else scale * c
+            slots.append(arg)
+        val = self.valuation(tuple(slots))
+        if scale is not None:
+            val = val * scale
+        if tail is not None and not val.is_zero:
+            val = val * tail
+        return val
 
     def valuation(self, args) -> DiagonalElement:
         args = tuple(args)
@@ -258,19 +206,12 @@ class CumulantFunctional(CumulantSource):
         balanced = _grading(args)
         total = DiagonalElement.zero(graph)
         if balanced(0, n):
-            if n == 1:
-                total = args[0].expectation()
-            else:
-                # The last factor only feeds the expectation, so it is
-                # joined on vertex terms instead of multiplied out.
-                total = self._prefix(args[:-1]).expect_product(args[-1])
-
-                # Gaps and tails of graded blocks are balanced spans, so
-                # every span the walk reaches is balanced.
-                def proper(lo, hi):
-                    return [b for b in _first_blocks(lo, hi, balanced) if len(b) < n]
-
-                total = total - _nestings(args, self, proper)
+            total = self._moment(args)
+            for block in _first_blocks(1, n, balanced):
+                if len(block) < n:
+                    val = self._block(args, block)
+                    if val is not None and not val.is_zero:
+                        total = total - val
         self._memo[args] = total
         return total
 
@@ -282,57 +223,6 @@ def cumulant_series(a: AlgebraElement, max_order: int) -> list[DiagonalElement]:
     a.backend.gate(max_order * a.degree)
     f = CumulantFunctional()
     return [f.valuation((a,) * n) for n in range(1, max_order + 1)]
-
-
-def moment_to_cumulant(args) -> DiagonalElement:
-    """k_n of a tuple of algebra elements."""
-    return CumulantFunctional().valuation(tuple(args))
-
-
-def cumulant_to_moment(args, source: CumulantSource) -> DiagonalElement:
-    """Sum of all non-crossing nestings: restores E(a_1 ... a_n) when the
-    source is the cumulant functional of the same elements."""
-    args = tuple(args)
-    if not args:
-        raise DomainError("empty argument tuple")
-    return _nestings(args, source, _first_blocks)
-
-
-class DressedTag(Record):
-    """Opaque argument for abstract sources, carrying the diagonal
-    dressing accumulated from nested gaps."""
-
-    tag: str
-    right: DiagonalElement
-
-    def __str__(self) -> str:
-        return self.tag
-
-    def __mul__(self, diag: DiagonalElement) -> "DressedTag":
-        return DressedTag(self.tag, self.right * diag)
-
-
-def dressed_tags(graph, tags) -> tuple[DressedTag, ...]:
-    unit = DiagonalElement.unit(graph)
-    return tuple(DressedTag(t, unit) for t in tags)
-
-
-class PairSource(CumulantSource):
-    """Abstract bracket family whose only nonzero order is two: every
-    pair evaluates to one fixed diagonal value times the dressings its
-    slots accumulated."""
-
-    def __init__(self, pair_value: DiagonalElement):
-        self.pair_value = pair_value
-        self.graph = pair_value.graph
-
-    def valuation(self, args) -> DiagonalElement:
-        if len(args) != 2:
-            return DiagonalElement.zero(self.graph)
-        out = self.pair_value
-        for slot in args:
-            out = out * slot.right
-        return out
 
 
 class ScanFinding(Record):

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import os
 import subprocess
@@ -5,8 +7,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphprob import Backend, DomainError, parse_word
+from graphprob import Backend, DomainError, cli, parse_word
 from graphprob.cli import (
     ast_degree,
     build_element,
@@ -23,6 +27,11 @@ ONE_LOOP = str(fixture_path("one_loop"))
 SINGLE_EDGE = str(fixture_path("single_edge"))
 C3 = str(fixture_path("c3"))
 LOOPS_BRIDGE = str(fixture_path("loops_bridge"))
+
+
+@functools.cache
+def _argparse_parser():
+    return cli._parser()
 
 
 def run(capsys, *argv):
@@ -233,6 +242,35 @@ def test_check_freeness(capsys):
     assert data["agreement"] == "agree" and data["free_to_order"] is True
 
 
+def test_deep_rdiagonal_scan_has_the_partial_isometry_brackets(capsys):
+    # On axiomatic single_edge, e is the sole exit of v1, so L[e] is a
+    # partial isometry: its nonzero brackets to order 10 are exactly the
+    # even alternating ones, (-1)^(k-1) Catalan(k-1) at order 2k, at v1
+    # when the pattern starts with a and at v2 when it starts with a*.
+    code, out, _ = run(capsys, "check-rdiagonal", SINGLE_EDGE, "e", "--max-order", "10",
+                       "--backend", "axiomatic", "--format", "json")
+    assert code == 0
+    want = [
+        (2 * k, [first, second] * k, f"{(-1) ** (k - 1) * catalan(k - 1)}*L[@{vertex}]")
+        for k in range(1, 6)
+        for first, second, vertex in (("a", "a*", "v1"), ("a*", "a", "v2"))
+    ]
+    got = [(f["order"], f["pattern"], f["value"]) for f in json.loads(out)["nonzero"]]
+    assert got == want
+
+
+def test_deep_freeness_scan_counts_every_mixed_tuple(capsys):
+    # {L[e1], L*[e1]} and {L[e2], L*[e2]} on parallel_edges, to order 8:
+    # 4^n - 2 * 2^n mixed tuples of order n, and no nonzero bracket.
+    code, out, _ = run(capsys, "check-freeness", str(fixture_path("parallel_edges")),
+                       "--family-a", "L[e1]", "--family-b", "L[e2]", "--max-order", "8",
+                       "--format", "json")
+    assert code == 0
+    scan = json.loads(out)["scan"]
+    assert scan["tuples_checked"] == sum(4**n - 2 * 2**n for n in range(1, 9))
+    assert scan["nonzero"] == []
+
+
 @pytest.mark.parametrize(
     "argv, golden", [case[1:] for case in PINNED], ids=[case[0] for case in PINNED]
 )
@@ -352,6 +390,30 @@ def test_depth_error_names_a_depth_that_works(capsys):
     assert (code, out.replace("depth=9", "depth=10")) == run(capsys, *freeness)[:2]
 
 
+def test_depth_gates_the_built_degree(capsys):
+    # L*[l]L[l] is written with two letters and builds 1*L[@v], of degree
+    # 0: building it needs depth 2, and its moments need no more.  The
+    # automatic depth still scales with the written degree.
+    argv = ("moments", ONE_LOOP, "L*[l]L[l]")
+    code, out, _ = run(capsys, *argv, "--depth", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "moments of 1*L[@v]  [fock(depth=2)]"
+    assert [row.split() for row in out.splitlines()[3:]] == [
+        [str(n), "1*L[@v]"] for n in range(1, 5)
+    ]
+    code, _, err = run(capsys, *argv, "--depth", "1")
+    assert code == 1
+    assert json.loads(err)["error"] == {
+        "code": "depth-insufficient", "message": "truncation depth 1 insufficient,"
+        " need at least 2", "required": 2, "depth": 1,
+    }
+    assert "[fock(depth=8)]" in run(capsys, *argv)[1]
+    # A depth that cannot build the elements names one that covers the
+    # work too: 4 for a:l to order 4, not the 1 that building needs.
+    code, _, err = run(capsys, "moments", ONE_LOOP, "a:l", "--depth", "0")
+    assert code == 1 and json.loads(err)["error"]["required"] == 4
+
+
 def test_error_payload_bytes(tmp_path, capsys):
     # One error of each payload shape, pinned byte for byte so that a
     # change in key order or escaping shows.
@@ -425,6 +487,71 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+# Command lines around the plain form: a well-formed line with valid
+# values, then up to two tokens inserted or replaced: option names whole,
+# abbreviated and with "=", help flags, "--", other commands, negative
+# numbers, and values of the wrong type or outside the choices.
+OPTION_NAMES = sorted({name for _, arguments in cli._COMMANDS.values()
+                       for name, _ in arguments if name.startswith("-")})
+VALUES = ("json", "text", "fock", "axiomatic", "both", "0", "3", "x", "1.5", " 4", "",
+          "a:l", "L[e1]", "-1", "-", "--", "-h", "--help", "bogus", "moments")
+
+
+def _valid_value(spec):
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    if "type" in spec:
+        return st.integers(-2, 12).map(str)
+    return st.sampled_from(["a:l", "L[e1] + L*[e1]", "out.txt"])
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv = [command]
+    for name, spec in cli._arguments(command):
+        if not name.startswith("-"):
+            argv.append(draw(st.sampled_from(["graph.graph", "a:l", "e1"])))
+        elif spec.get("required") or draw(st.booleans()):
+            for _ in range(draw(st.integers(1, 2))):
+                argv += [name, draw(_valid_value(spec))]
+    option, value = st.sampled_from(OPTION_NAMES), st.sampled_from(VALUES)
+    noise = st.one_of(
+        value.map(lambda v: [v]),
+        st.tuples(option, value).map(list),
+        st.tuples(option, value).map(lambda p: [f"{p[0]}={p[1]}"]),
+        st.tuples(option, st.integers(2, 12)).map(lambda p: [p[0][:p[1]]]),
+    )
+    for at, tokens, replace in draw(st.lists(
+        st.tuples(st.integers(0, len(argv) - 1), noise, st.booleans()), max_size=2
+    )):
+        argv[at:at + replace] = tokens
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_plain_parse_is_argparse_or_none(argv):
+    plain = cli._parse_plain(argv)
+    if plain is not None:
+        assert vars(plain) == vars(_argparse_parser().parse_args(argv))
+
+
+def test_plain_parse_takes_well_formed_lines():
+    for argv in (
+        ["moments", "g.graph", "a:l", "--max-order", "8", "--format", "json"],
+        ["check-freeness", "g.graph", "--family-a", "L[e1]", "--family-b", "L[e2]",
+         "--family-b", "L[e3]", "--depth", "5", "--backend", "fock"],
+        ["audit", "g.graph", "--backend", "both"],
+    ):
+        plain = cli._parse_plain(argv)
+        assert plain is not None and vars(plain) == vars(_argparse_parser().parse_args(argv))
+    for argv in (["moments", "g.graph", "a:l", "--max-o", "8"], ["paths", "g.graph", "-h"],
+                 ["paths", "g.graph", "--max-len=2"], ["paths", "--", "g.graph"],
+                 ["audit", "g.graph", "--depth", "-1"], ["cumulants", "g.graph"]):
+        assert cli._parse_plain(argv) is None
+
+
 def test_audit_loops_bridge_has_all_rows(capsys):
     code, out, _ = run(capsys, "audit", LOOPS_BRIDGE, "--format", "json")
     assert code == 0
@@ -448,18 +575,31 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 # The package modules a cold interpreter loads for each command, and
-# ("import") for importing graphprob.cli alone.
-GRAPH_LAYER = {"cli", "errors", "graphs", "records", "structure"}
+# ("import") for importing graphprob.cli alone.  Only text output loads
+# structure, for its table, and decompose, for the decomposition; only
+# audit loads audit, and no command loads nestings.
+GRAPH_LAYER = {"cli", "errors", "graphs", "records"}
 ALGEBRA_LAYER = GRAPH_LAYER | {"algebra", "operators", "scalars"}
+CHECK_LAYER = ALGEBRA_LAYER | {"cumulants", "analyzers"}
+PARALLEL = str(fixture_path("parallel_edges"))
 LOADS = (
     ((), GRAPH_LAYER),
     (("validate", C3), GRAPH_LAYER),
-    (("paths", C3), GRAPH_LAYER),
-    (("decompose", C3), GRAPH_LAYER),
-    (("moments", ONE_LOOP, "a:l"), ALGEBRA_LAYER),
-    (("cumulants", ONE_LOOP, "a:l"), ALGEBRA_LAYER | {"cumulants"}),
-    (("audit", ONE_LOOP), ALGEBRA_LAYER | {"cumulants", "analyzers"}),
+    (("paths", C3), GRAPH_LAYER | {"structure"}),
+    (("decompose", C3), GRAPH_LAYER | {"structure"}),
+    (("moments", ONE_LOOP, "a:l"), ALGEBRA_LAYER | {"structure"}),
+    (("cumulants", ONE_LOOP, "a:l"), ALGEBRA_LAYER | {"cumulants", "structure"}),
+    (("audit", ONE_LOOP), CHECK_LAYER | {"audit", "structure"}),
+    (("moments", ONE_LOOP, "a:l", "--format", "json"), ALGEBRA_LAYER),
+    (("check-semicircular", ONE_LOOP, "a:l", "--format", "json"), CHECK_LAYER),
+    (("check-rdiagonal", C3, "e1", "--format", "json"), CHECK_LAYER),
+    (("check-freeness", PARALLEL, "--family-a", "L[e1]", "--family-b", "L[e2]",
+      "--format", "json"), CHECK_LAYER),
+    (("audit", ONE_LOOP, "--format", "json"), CHECK_LAYER | {"audit"}),
 )
+# A well-formed command line is parsed without argparse, which imports
+# gettext, and through it locale.
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def cold_modules(argv) -> set[str]:
@@ -478,7 +618,8 @@ def cold_modules(argv) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "argv, modules", LOADS, ids=[argv[0] if argv else "import" for argv, _ in LOADS]
+    "argv, modules", LOADS,
+    ids=[(argv[0] + "-json" * ("json" in argv)) if argv else "import" for argv, _ in LOADS],
 )
 def test_each_command_loads_only_its_layers(argv, modules):
     # The package resolves its names on first use and each command imports
@@ -486,6 +627,11 @@ def test_each_command_loads_only_its_layers(argv, modules):
     # algebra nor the brackets.  With no argv, only graphprob.cli is imported.
     loaded = cold_modules(argv)
     assert {m.removeprefix("graphprob.") for m in loaded if m.startswith("graphprob.")} == modules
+    assert not ARGPARSE & loaded
+
+
+def test_help_loads_argparse():
+    assert "argparse" in cold_modules(("moments", "--help"))
 
 
 # Scalar parts are ints when integral, so only a non-integral value loads

@@ -245,7 +245,8 @@ def test_graded_recursion_matches_partition_sums(name):
         inner = rng.choice((n - 2, rng.randrange(n - 1)))
         return [x.adjoint(), *balanced(gens, inner), x, *balanced(gens, n - 2 - inner)]
 
-    seen = {"unbalanced": 0, "graded nonzero": 0, "sums": 0, "sums nonzero": 0}
+    seen = {"unbalanced": 0, "graded nonzero": 0, "sums": 0, "sums nonzero": 0,
+            "one-vertex sums": 0, "two-vertex sums": 0}
     for backend in (AX, Backend.fock(24)):
         oracle, f = PartitionSumSource(), CumulantFunctional()
         for i in range(36):
@@ -277,6 +278,40 @@ def test_graded_recursion_matches_partition_sums(name):
                     product = free_product(product, image)
                 seen["unbalanced"] += product != ()
                 seen["graded nonzero"] += n > 2 and not k.is_zero
+
+        # Sums to order 7, of two kinds.  All terms of a:l on a loop, and
+        # of x + P_v with v the vertex the terms of x leave from, leave one
+        # vertex: a bracket keeps such an argument and scales its block by
+        # a gap moment's value there.  The terms of L[w] + L*[w] on a
+        # non-loop w, and of x + P_u with u another vertex, leave two
+        # vertices: the bracket dresses the argument.
+        def with_sum(x, two_vertices):
+            v = x.annihilation_vertex
+            if two_vertices:
+                v = rng.choice([u for u in g.vertices if u != v])
+            return x + AlgebraElement.vertex_projection(g, backend, v)
+
+        symmetric = {False: [], True: []}
+        for w in words:
+            if w.length == 1:
+                a = AlgebraElement.symmetrized_generator(g, backend, w)
+                symmetric[a.annihilation_vertex is None].append(a)
+        for n in range(2, 8):
+            for two_vertices in [False, True] if len(g.vertices) > 1 else [False]:
+                picked = balanced(gens, n)
+                for j in rng.sample(range(n), min(n - 1, 2)):
+                    picked[j] = with_sum(picked[j], two_vertices)
+                tuples = [picked]
+                if symmetric[two_vertices]:
+                    tuples.append([rng.choice(symmetric[two_vertices])] * n)
+                for picked in tuples:
+                    args = tuple(x * diagonal() for x in picked)
+                    assert all(a.annihilation_vertex for a in args) != two_vertices
+                    k = f.valuation(args)
+                    assert k == oracle.valuation(args)
+                    seen["two-vertex sums" if two_vertices else "one-vertex sums"] += not k.is_zero
+    if len(g.vertices) == 1:
+        del seen["two-vertex sums"]
     assert all(seen.values()), seen
 
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from graphprob import (  # noqa: F401  (every module, see RECORDS)
-    algebra, analyzers, cli, cumulants, errors, graphs, operators, records, scalars, structure,
+    algebra, analyzers, audit, cli, cumulants, errors, graphs, nestings, operators, records,
+    scalars, structure,
 )
 from graphprob.algebra import AlgebraElement, DiagonalElement, Support
 from graphprob.graphs import Edge, EdgeClasses, PathWord, parse_word
