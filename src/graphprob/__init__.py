@@ -51,56 +51,7 @@ _MODULES = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AXIOMATIC",
-    "AlgebraElement",
-    "ArityBoundError",
-    "AuditReport",
-    "Backend",
-    "BackendMismatchError",
-    "CumulantFunctional",
-    "CumulantSource",
-    "DecompositionReport",
-    "DepthError",
-    "DiagonalElement",
-    "DomainError",
-    "DressedTag",
-    "Edge",
-    "EdgeClasses",
-    "FOCK",
-    "FaithfulnessReport",
-    "FreenessReport",
-    "GeneratorSymbol",
-    "Graph",
-    "GraphSyntaxError",
-    "Monomial",
-    "PairSource",
-    "PathWord",
-    "RDiagonalReport",
-    "Scalar",
-    "SemicircularReport",
-    "build_semicircular_system",
-    "check_freeness",
-    "check_r_diagonal",
-    "check_semicircular",
-    "claims_audit",
-    "classify_edges",
-    "concat",
-    "cumulant_to_moment",
-    "decompose",
-    "diagram_distinct",
-    "dressed_tags",
-    "enumerate_paths",
-    "faithfulness_probe",
-    "mixed_cumulant_scan",
-    "parse_graph",
-    "parse_word",
-    "primitive_root",
-    "reduce_word",
-    "required_depth",
-    "strip_prefix",
-    "__version__",
-]
+__all__ = [*_MODULES, "__version__"]
 
 
 def __getattr__(name):

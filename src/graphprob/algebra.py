@@ -138,11 +138,6 @@ class DiagonalElement(Record):
             out = out * self
         return out
 
-    def conjugate(self) -> "DiagonalElement":
-        return DiagonalElement(
-            self.graph, tuple((v, c.conjugate()) for v, c in self.coeffs)
-        )
-
     def restrict(self, vertex_subset) -> "DiagonalElement":
         subset = set(vertex_subset)
         for v in subset:

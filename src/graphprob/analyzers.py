@@ -6,10 +6,9 @@ report is reproducible from its inputs.
 Each report renders as text with ``to_text`` and as JSON with
 ``to_json_dict``, the ``records.to_json`` walk.  Both names are bound in
 each report class's own body, where tracing tools wrap them.  The text
-table comes from ``structure`` when text is rendered, so JSON output
-never loads it.  The decomposition (``structure``) and the audit
-(``audit``) are re-exported here on first use (PEP 562), so a check
-compiles neither.
+table is ``records.format_table``, beside the JSON walk.  The
+decomposition (``structure``) and the audit (``audit``) are re-exported
+here on first use (PEP 562), so a check compiles neither.
 """
 
 from __future__ import annotations
@@ -21,12 +20,12 @@ from .cumulants import MixedScanReport, ScanFinding, cumulant_series, mixed_cumu
 from .errors import DomainError
 from .graphs import Graph, PathWord, diagram_distinct
 from .operators import Backend
-from .records import Record, to_json
+from .records import Record, format_table, to_json
 
 # Each re-exported name and the module that defines it.
 _MOVED = {
     **dict.fromkeys(("BasicLoopRow", "DecompositionReport", "DiagonalBlock", "EdgeBlock",
-                     "decompose", "format_table"), "structure"),
+                     "decompose"), "structure"),
     **dict.fromkeys(("AUDIT_DEPTHS", "AuditReport", "AuditRow", "claims_audit"), "audit"),
 }
 
@@ -40,8 +39,6 @@ def __getattr__(name):
 
 
 def _findings_table(findings) -> str:
-    from .structure import format_table
-
     rows = [[str(f.order), "(" + ", ".join(f.pattern) + ")", str(f.value)] for f in findings]
     return format_table(["order", "pattern", "value"], rows)
 
@@ -72,8 +69,6 @@ class SemicircularReport(Record):
     to_json_dict = to_json
 
     def to_text(self) -> str:
-        from .structure import format_table
-
         rows = [["2", str(self.k2), "variance"]]
         for t in self.offenders:
             rows.append([str(t.order), str(t.value), "offender"])

@@ -15,7 +15,7 @@ from .cumulants import CumulantFunctional
 from .errors import DomainError
 from .graphs import Graph, PathWord, classify_edges
 from .operators import Backend
-from .records import Record, to_json
+from .records import Record, format_table, to_json
 
 
 class AuditRow(Record):
@@ -34,8 +34,6 @@ class AuditReport(Record):
     to_json_dict = to_json
 
     def to_text(self) -> str:
-        from .structure import format_table
-
         headers = ["id", "claim", "stated"] + list(self.backends) + ["verdict"]
         rows = []
         for r in self.rows:

@@ -7,11 +7,12 @@ Exit codes: 0 on success, 1 on a reported domain error (a JSON error
 object goes to stderr), 2 on argument errors.  Output is deterministic
 for fixed inputs.
 
-Each command imports the layers above ``graphs`` when it runs, and the
-text table (``structure``) only when it renders text, so a fresh
-interpreter compiles only the modules that command uses.  A command line
-of plain tokens is parsed from ``_COMMANDS`` directly; argparse is
-imported only for help and usage errors (``_parse_plain``).
+Each command imports the layers above ``graphs`` when it runs, so a
+fresh interpreter compiles only the modules that command uses.  The text
+table is ``records.format_table``, so only ``decompose`` loads
+``structure``.  A command line of plain tokens is parsed from
+``_COMMANDS`` directly; argparse is imported only for help and usage
+errors (``_parse_plain``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 
 from .errors import DomainError
 from .graphs import IDENT_PATTERN, Graph, enumerate_paths, parse_graph, parse_word
-from .records import to_json
+from .records import format_table, to_json
 
 
 # ---- element expression parsing ----
@@ -211,8 +212,6 @@ def cmd_paths(args) -> str:
     words = enumerate_paths(graph, args.max_len)
 
     def text():
-        from .structure import format_table
-
         rows = [
             [str(w), w.initial, w.final, str(w.length), "yes" if w.is_loop else "no"]
             for w in words
@@ -249,8 +248,6 @@ def _render_series(args, name: str, a: AlgebraElement, backend: Backend, values)
     terms = [SeriesTerm(n, v) for n, v in enumerate(values, start=1)]
 
     def text():
-        from .structure import format_table
-
         rows = [[str(t.order), str(t.value)] for t in terms]
         return "\n".join([f"{name} of {a}  [{backend}]", format_table(["order", "value"], rows)])
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import DomainError
-from .algebra import AlgebraElement, DiagonalElement, SeriesTerm  # noqa: F401  (re-exported)
+from .algebra import AlgebraElement, DiagonalElement
 from .operators import free_product
 from .records import Record
 

@@ -273,12 +273,7 @@ def enumerate_paths(graph: Graph, max_len: int) -> list[PathWord]:
         nxt = []
         for p in level:
             for e in graph.edges_from(p.final):
-                if p.is_vertex:
-                    nxt.append(PathWord(graph, (e.id,), e.initial, e.final))
-                else:
-                    nxt.append(
-                        PathWord(graph, p.edges + (e.id,), p.initial, e.final)
-                    )
+                nxt.append(PathWord(graph, p.edges + (e.id,), p.initial, e.final))
         nxt.sort(key=lambda w: w.edges)
         out.extend(nxt)
         level = nxt

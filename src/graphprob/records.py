@@ -4,7 +4,8 @@
 generate: fields, construction, equality, hash and repr.  Importing
 ``dataclasses`` loads ``inspect`` and compiles every class's methods with
 ``exec``, which costs each short command tens of milliseconds at start-up.
-``to_json`` is the one walk that turns records into JSON-ready values.
+``to_json`` is the one walk that turns records into JSON-ready values,
+and ``format_table`` the one text table every report renders through.
 """
 
 from numbers import Rational
@@ -106,3 +107,17 @@ def to_json(value):
     if isinstance(value, Rational) and not isinstance(value, int):
         return num_den(value)
     return value
+
+
+def format_table(headers, rows) -> str:
+    """Left-aligned columns two spaces apart under a dashed rule, with
+    trailing blanks stripped from every line."""
+    widths = [len(h) for h in headers]
+    for r in rows:
+        for i, cell in enumerate(r):
+            widths[i] = max(widths[i], len(cell))
+    def fmt(row):
+        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+    lines = [fmt(headers), fmt(["-" * w for w in widths])]
+    lines.extend(fmt(r) for r in rows)
+    return "\n".join(lines)

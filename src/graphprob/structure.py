@@ -2,28 +2,15 @@
 
 ``decompose`` lists the blocks ``W*({L_e}, D_G)`` over the diagonal and
 the basic loops they generate.  It needs only the graph and its paths,
-so the commands ``validate``, ``paths`` and ``decompose`` run without
-loading the algebra or the brackets.  ``format_table`` is the text table
-every report shares.
+so ``decompose``, the one command that loads this module, runs without
+the algebra or the brackets.  Its text table is ``records.format_table``.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
 from .graphs import Graph, enumerate_paths, primitive_root
-from .records import Record, to_json
-
-
-def format_table(headers, rows) -> str:
-    widths = [len(h) for h in headers]
-    for r in rows:
-        for i, cell in enumerate(r):
-            widths[i] = max(widths[i], len(cell))
-    def fmt(row):
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in rows)
-    return "\n".join(lines)
+from .records import Record, format_table, to_json
 
 
 class DiagonalBlock(Record):

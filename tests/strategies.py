@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from graphprob import AlgebraElement, Backend, Edge, Graph, PathWord
+from graphprob import AlgebraElement, Backend, Edge, Graph, PathWord, enumerate_paths
 from graphprob.operators import GeneratorSymbol
 
 
@@ -47,6 +47,27 @@ def symbols(draw, graph: Graph, max_len: int = 2):
     w = draw(words(graph, max_len=max_len))
     starred = draw(st.booleans())
     return GeneratorSymbol(w, starred)
+
+
+@st.composite
+def generator_words(draw, graph: Graph, max_symbols: int = 5, max_len: int = 2):
+    """A composable generator word: each generator's range vertex (``initial``
+    of ``L[w]``, ``final`` of ``L*[w]``) is the vertex the one before it
+    leaves from.  About half the words are mirrored as ``w w*``, so they
+    are balanced."""
+    paths = enumerate_paths(graph, max_len)
+    at = draw(st.sampled_from(graph.vertices))
+    word = []
+    for _ in range(draw(st.integers(1, max_symbols))):
+        s = draw(st.sampled_from(
+            [GeneratorSymbol(p) for p in paths if p.initial == at]
+            + [GeneratorSymbol(p, True) for p in paths if p.final == at and not p.is_vertex]
+        ))
+        word.append(s)
+        at = s.word.initial if s.starred else s.word.final
+    if draw(st.booleans()):
+        word += [s.adjoint() for s in reversed(word)]
+    return word
 
 
 _coeffs = st.fractions(

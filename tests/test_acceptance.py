@@ -43,7 +43,8 @@ from graphprob import (
     parse_word,
     reduce_word,
 )
-from graphprob.cumulants import catalan, cumulant_series, enumerate_nc
+from graphprob.cumulants import cumulant_series
+from graphprob.nestings import catalan, enumerate_nc
 from graphprob.operators import apply_generator_word, fock_apply
 from .conftest import FIXTURE_NAMES, fixture_path, load_fixture, load_golden
 

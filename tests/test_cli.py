@@ -18,7 +18,7 @@ from graphprob.cli import (
     parse_element,
     parse_element_ast,
 )
-from graphprob.cumulants import catalan
+from graphprob.nestings import catalan
 
 from .conftest import fixture_path
 from .pinned import GOLDENS, PINNED, ROOT, cli_argv
@@ -575,9 +575,9 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 # The package modules a cold interpreter loads for each command, and
-# ("import") for importing graphprob.cli alone.  Only text output loads
-# structure, for its table, and decompose, for the decomposition; only
-# audit loads audit, and no command loads nestings.
+# ("import") for importing graphprob.cli alone.  Only decompose loads
+# structure, since the text table lives in records; only audit loads
+# audit, and no command loads nestings.
 GRAPH_LAYER = {"cli", "errors", "graphs", "records"}
 ALGEBRA_LAYER = GRAPH_LAYER | {"algebra", "operators", "scalars"}
 CHECK_LAYER = ALGEBRA_LAYER | {"cumulants", "analyzers"}
@@ -585,11 +585,11 @@ PARALLEL = str(fixture_path("parallel_edges"))
 LOADS = (
     ((), GRAPH_LAYER),
     (("validate", C3), GRAPH_LAYER),
-    (("paths", C3), GRAPH_LAYER | {"structure"}),
+    (("paths", C3), GRAPH_LAYER),
     (("decompose", C3), GRAPH_LAYER | {"structure"}),
-    (("moments", ONE_LOOP, "a:l"), ALGEBRA_LAYER | {"structure"}),
-    (("cumulants", ONE_LOOP, "a:l"), ALGEBRA_LAYER | {"cumulants", "structure"}),
-    (("audit", ONE_LOOP), CHECK_LAYER | {"audit", "structure"}),
+    (("moments", ONE_LOOP, "a:l"), ALGEBRA_LAYER),
+    (("cumulants", ONE_LOOP, "a:l"), ALGEBRA_LAYER | {"cumulants"}),
+    (("audit", ONE_LOOP), CHECK_LAYER | {"audit"}),
     (("moments", ONE_LOOP, "a:l", "--format", "json"), ALGEBRA_LAYER),
     (("check-semicircular", ONE_LOOP, "a:l", "--format", "json"), CHECK_LAYER),
     (("check-rdiagonal", C3, "e1", "--format", "json"), CHECK_LAYER),

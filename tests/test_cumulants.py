@@ -18,22 +18,19 @@ from graphprob import (
     enumerate_paths,
     parse_word,
 )
+from graphprob.algebra import SeriesTerm
 from graphprob.cli import main, parse_element
-from graphprob.cumulants import (
-    CumulantSource,
-    MixedScanReport,
+from graphprob.cumulants import CumulantSource, MixedScanReport, ScanFinding, cumulant_series
+from graphprob.errors import ArityBoundError
+from graphprob.nestings import (
     NCPartition,
     PairSource,
-    ScanFinding,
-    SeriesTerm,
     catalan,
-    cumulant_series,
     dressed_tags,
     enumerate_nc,
     moment_to_cumulant,
     nested_evaluate,
 )
-from graphprob.errors import ArityBoundError
 from graphprob.operators import free_product
 from graphprob.records import to_json
 

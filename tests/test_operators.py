@@ -18,8 +18,8 @@ from graphprob import (
 from graphprob.operators import apply_generator_word, cancel_final_segment, compose, fock_apply
 from graphprob.records import to_json
 
-from .conftest import load_fixture
-from .strategies import graphs, symbols
+from .conftest import FIXTURE_NAMES, load_fixture
+from .strategies import generator_words, graphs, symbols
 
 
 # ---- backends ----
@@ -181,12 +181,19 @@ def _axiomatic_mul(m1, m2):
     return None if out is None else cancel_final_segment(out)
 
 
+# Sides of length 2 give 98 and 410 monomials on the last two fixtures,
+# too many triples for a quick run.
+ASSOCIATIVITY_CASES = [("parallel_edges", 2, 10), ("lollipop", 2, 18), ("c3", 2, 15),
+                       ("mixed_exits", 1, 24), ("loops_bridge", 1, 34)]
+
+
 @pytest.mark.parametrize(
-    "name, count", [("parallel_edges", 10), ("lollipop", 18), ("c3", 15)]
+    "name, max_len, count", ASSOCIATIVITY_CASES,
+    ids=[f"{name}-{count}" for name, _, count in ASSOCIATIVITY_CASES],
 )
-def test_axiomatic_product_is_associative_on_short_monomials(name, count):
-    """Every triple of reduced monomials with sides of length <= 2."""
-    monomials = _reduced_monomials(load_fixture(name), 2)
+def test_axiomatic_product_is_associative_on_short_monomials(name, max_len, count):
+    """Every triple of reduced monomials with sides of length <= max_len."""
+    monomials = _reduced_monomials(load_fixture(name), max_len)
     mul = _axiomatic_mul
     bad = [
         (m1, m2, m3)
@@ -212,6 +219,54 @@ def test_axiomatic_associativity_witnesses():
     word = [_sym(b, "l1.l2"), _sym(b, "l1.l2", True), _sym(b, "l2")]
     assert reduce_word(ax, word) is None
     assert reduce_word(ax, [s.adjoint() for s in reversed(word)]) is None
+
+
+# ---- the letter-stack oracle ----
+
+
+def _stack_normal_form(backend, word):
+    """Read a generator word letter by letter against a stack: ``L*[e]L[e]``
+    pops, ``L*[e]L[f]`` with e != f is zero, and on axiomatic ``L[e]L*[e]``
+    pops where e is its vertex's sole exit.  A word that is not composable
+    is zero.  The letters left spell the normal form ``L[p]L*[q]``."""
+    graph = word[0].word.graph
+    sole = frozenset() if backend.is_fock else graph.sole_exits
+
+    def ends(s):  # (range vertex, vertex it leaves from)
+        return (s.word.final, s.word.initial) if s.starred else (s.word.initial, s.word.final)
+
+    if any(ends(s)[1] != ends(t)[0] for s, t in zip(word, word[1:])):
+        return None
+    stack = []
+    for s in word:
+        edges = reversed(s.word.edges) if s.starred else s.word.edges
+        for e in edges:
+            if stack and stack[-1][1] and not s.starred:
+                if stack.pop()[0] != e:
+                    return None
+            elif stack and stack[-1] == (e, False) and s.starred and e in sole:
+                stack.pop()
+            else:
+                stack.append((e, s.starred))
+
+    def side(edges, v):
+        return PathWord.from_edges(graph, edges) if edges else PathWord.vertex(graph, v)
+
+    p = [e for e, starred in stack if not starred]
+    q = [e for e, starred in reversed(stack) if starred]
+    return Monomial(side(p, ends(word[0])[0]), side(q, ends(word[-1])[1]))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_reduce_word_agrees_with_the_letter_stack(name, data):
+    """The normal form is P_v, v the first generator's range vertex, exactly
+    when the stack ends empty; otherwise the stack spells it."""
+    graph = load_fixture(name)
+    word = data.draw(generator_words(graph))
+    for backend in (Backend.axiomatic(), Backend.fock(max(1, required_depth(word)))):
+        assert reduce_word(backend, word) == _stack_normal_form(backend, word)
 
 
 # ---- basis action ----
