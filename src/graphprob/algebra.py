@@ -46,11 +46,6 @@ class DiagonalElement(Record):
     graph: Graph
     coeffs: tuple[tuple[str, Scalar], ...]
 
-    def __init__(self, graph: Graph, coeffs: tuple[tuple[str, Scalar], ...]):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "coeffs", coeffs)
-        self.__post_init__()
-
     def __post_init__(self):
         last = None
         for v, c in self.coeffs:
@@ -186,20 +181,6 @@ class AlgebraElement(Record):
     graph: Graph
     backend: Backend
     terms: tuple[tuple[Monomial, Scalar], ...]
-
-    def __init__(self, graph: Graph, backend: Backend, terms: tuple[tuple[Monomial, Scalar], ...]):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "terms", terms)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash((self.graph, self.backend, self.terms))
-        )
-
-    def __hash__(self):
-        return self._hash
 
     @classmethod
     def make(cls, graph: Graph, backend: Backend, term_map) -> "AlgebraElement":

@@ -58,10 +58,6 @@ class Graph(Record):
         out_degree = Counter(e.initial for e in self.edges)
         sole = frozenset(e.id for e in self.edges if out_degree[e.initial] == 1)
         object.__setattr__(self, "sole_exits", sole)
-        object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
-
-    def __hash__(self):
-        return self._hash
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -138,13 +134,6 @@ class PathWord(Record):
     initial: str
     final: str
 
-    def __init__(self, graph: Graph, edges: tuple[str, ...], initial: str, final: str):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "final", final)
-        self.__post_init__()
-
     def __post_init__(self):
         g = self.graph
         if not self.edges:
@@ -161,12 +150,6 @@ class PathWord(Record):
                 at = e.final
             if at != self.final:
                 raise DomainError("final vertex does not match edge sequence")
-        object.__setattr__(
-            self, "_hash", hash((self.graph, self.edges, self.initial))
-        )
-
-    def __hash__(self):
-        return self._hash
 
     @classmethod
     def vertex(cls, graph: Graph, v: str) -> "PathWord":

@@ -115,11 +115,6 @@ class Monomial(Record):
     creation: PathWord
     annihilation: PathWord
 
-    def __init__(self, creation: PathWord, annihilation: PathWord):
-        object.__setattr__(self, "creation", creation)
-        object.__setattr__(self, "annihilation", annihilation)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.creation.graph != self.annihilation.graph:
             raise DomainError("mixed-graph monomial")
@@ -129,10 +124,6 @@ class Monomial(Record):
                 f"{self.creation} ends at {self.creation.final}, "
                 f"{self.annihilation} at {self.annihilation.final}"
             )
-        object.__setattr__(self, "_hash", hash((self.creation, self.annihilation)))
-
-    def __hash__(self):
-        return self._hash
 
     @classmethod
     def vertex(cls, graph: Graph, v: str) -> "Monomial":

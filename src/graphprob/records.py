@@ -18,13 +18,15 @@ class Record:
     A subclass's fields are its own annotations, in order, and a class
     attribute of the same name is that field's default.  Instances are
     equal only within one class, with equal field tuples, and hash as
-    their field tuple.  A subclass may define ``__post_init__`` to check
-    or derive state, and a positional ``__init__`` for speed that sets
-    each field with ``object.__setattr__`` and then calls
-    ``self.__post_init__()`` if it defines one.  Fields are set that way, not through
-    ``self.__dict__``, because reading ``__dict__`` turns the instance's
-    inline attribute values into a separate dict, and every later
-    attribute read gets slower.
+    their field tuple, computed on first use and cached as ``_hash``.
+    A call with one positional value per field skips the keyword and
+    default handling.  ``Record.__init__`` then calls
+    ``self.__post_init__()``, where a subclass may check or derive state;
+    a subclass defines ``__init__`` only to rewrite its arguments before
+    they are stored, as ``Scalar`` does.  Fields are set with
+    ``object.__setattr__``, not through ``self.__dict__``, because reading
+    ``__dict__`` turns the instance's inline attribute values into a
+    separate dict, and every later attribute read gets slower.
 
     The JSON form is a dict over ``_json_keys``: the fields, unless the
     class names its own keys, which may include properties.  A class
@@ -40,23 +42,25 @@ class Record:
         cls._values = staticmethod(getter if len(fields) > 1 else lambda obj: (getter(obj),))
 
     def __init__(self, *args, **kwargs):
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)} arguments")
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected field {key!r}")
-            if key in values:
-                raise TypeError(f"{name}() got multiple values for field {key!r}")
-            values[key] = value
-        for f in fields:
-            if f in values:
-                object.__setattr__(self, f, values[f])
-            elif f in self._defaults:
-                object.__setattr__(self, f, self._defaults[f])
-            else:
-                raise TypeError(f"{name}() missing field {f!r}")
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            name = type(self).__name__
+            if len(args) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)} arguments")
+            values = dict(zip(fields, args))
+            for key, value in kwargs.items():
+                if key not in fields:
+                    raise TypeError(f"{name}() got an unexpected field {key!r}")
+                if key in values:
+                    raise TypeError(f"{name}() got multiple values for field {key!r}")
+                values[key] = value
+            values = {**self._defaults, **values}
+            for f in fields:
+                if f not in values:
+                    raise TypeError(f"{name}() missing field {f!r}")
+            args = [values[f] for f in fields]
+        for f, value in zip(fields, args):
+            object.__setattr__(self, f, value)
         self.__post_init__()
 
     def __post_init__(self):
@@ -75,7 +79,11 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values(self))
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self._values(self))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

@@ -1,3 +1,6 @@
+import random
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,7 +185,7 @@ def _axiomatic_mul(m1, m2):
 
 
 # Sides of length 2 give 98 and 410 monomials on the last two fixtures,
-# too many triples for a quick run.
+# too many triples for a quick run; SAMPLED_CASES covers them by sample.
 ASSOCIATIVITY_CASES = [("parallel_edges", 2, 10), ("lollipop", 2, 18), ("c3", 2, 15),
                        ("mixed_exits", 1, 24), ("loops_bridge", 1, 34)]
 
@@ -204,6 +207,38 @@ def test_axiomatic_product_is_associative_on_short_monomials(name, max_len, coun
     ]
     assert bad == []
     assert len(monomials) == count
+
+
+SAMPLED_CASES = [("mixed_exits", 98), ("loops_bridge", 410)]
+
+
+@pytest.mark.parametrize(
+    "name, count", SAMPLED_CASES, ids=[f"{name}-{count}" for name, count in SAMPLED_CASES]
+)
+def test_axiomatic_product_is_associative_on_sampled_monomials(name, count):
+    """A seeded sample of triples of reduced monomials with sides of
+    length <= 2, on the graphs that mix branching vertices and sole exits.
+    Each outer factor is drawn among the monomials whose facing side starts
+    where the middle factor's side starts, so many products are nonzero."""
+    monomials = _reduced_monomials(load_fixture(name), 2)
+    by_annihilation, by_creation = defaultdict(list), defaultdict(list)
+    for m in monomials:
+        by_annihilation[m.annihilation.initial].append(m)
+        by_creation[m.creation.initial].append(m)
+    rng = random.Random(0)
+    mul = _axiomatic_mul
+    bad, nonzero = [], 0
+    for _ in range(10000):
+        m2 = rng.choice(monomials)
+        m1 = rng.choice(by_annihilation[m2.creation.initial])
+        m3 = rng.choice(by_creation[m2.annihilation.initial])
+        left = mul(mul(m1, m2), m3)
+        if left != mul(m1, mul(m2, m3)):
+            bad.append((m1, m2, m3))
+        nonzero += left is not None
+    assert bad == []
+    assert len(monomials) == count
+    assert nonzero >= 500
 
 
 def test_axiomatic_associativity_witnesses():

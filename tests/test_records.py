@@ -1,7 +1,6 @@
 """The ``Record`` contract: what a frozen dataclass would give each value
 type, checked on every ``Record`` subclass in the package."""
 
-import inspect
 from fractions import Fraction
 
 import pytest
@@ -22,8 +21,16 @@ RECORDS = sorted(
     (cls for cls in Record.__subclasses__() if cls.__module__.startswith("graphprob.")),
     key=lambda cls: (cls.__module__, cls.__name__),
 )
-# The classes that define a positional __init__ for speed.
-FAST_INIT = (Scalar, PathWord, Monomial, DiagonalElement, AlgebraElement)
+
+
+class _Hashed:
+    """A field value that counts how often it is hashed."""
+
+    calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 7
 
 
 def _raw(cls, values):
@@ -42,7 +49,11 @@ def _values(cls, tag):
 def test_every_value_type_is_a_record():
     assert len(RECORDS) == 26
     assert all(cls._fields for cls in RECORDS)
-    assert set(FAST_INIT) <= set(RECORDS)
+
+
+def test_only_scalar_constructs_and_only_record_hashes():
+    assert [cls for cls in RECORDS if "__init__" in vars(cls)] == [Scalar]
+    assert [cls for cls in RECORDS if "__hash__" in vars(cls)] == []
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -65,8 +76,13 @@ def test_equality_and_hash_follow_the_field_tuple(cls):
     assert a == b and not a != b
     assert a != c
     assert a != values
-    if "__hash__" not in vars(cls):
-        assert hash(a) == hash(values) == hash(b)
+    assert hash(a) == hash(values) == hash(b)
+    # The hash is computed once per instance, on first use.
+    key = _Hashed()
+    d = _raw(cls, (key, *values[1:]))
+    h = hash(d)
+    assert hash(d) == h and key.calls == 1
+    assert h == hash((key, *values[1:]))
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -80,10 +96,19 @@ def test_repr_has_the_dataclass_format(cls):
         assert str(obj) == repr(obj)
 
 
-@pytest.mark.parametrize("cls", FAST_INIT, ids=lambda cls: cls.__name__)
-def test_fast_init_takes_the_fields_in_order(cls):
-    params = list(inspect.signature(cls.__init__).parameters)
-    assert params == ["self", *cls._fields]
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_fast_init_takes_the_fields_in_order(cls, monkeypatch):
+    # A full positional call stores what the keyword call stores, and both
+    # reach a __post_init__ patched onto the class, the way the benchmark's
+    # tracer counts PathWord and Monomial.  Scalar's own __init__ only
+    # normalizes its parts and has no hook.
+    seen = []
+    monkeypatch.setattr(cls, "__post_init__", lambda self: seen.append(self._values(self)))
+    values = tuple(range(1, len(cls._fields) + 1))
+    by_position = cls(*values)
+    assert by_position == cls(**dict(zip(cls._fields, values)))
+    assert by_position._values(by_position) == values
+    assert seen == ([] if cls is Scalar else [values, values])
 
 
 def test_equality_is_per_class():
@@ -145,7 +170,7 @@ def test_fast_init_runs_post_init_through_the_instance(one_loop, monkeypatch):
     # the benchmark's tracer counts PathWord and Monomial that way.
     seen = []
     for cls in (PathWord, Monomial, DiagonalElement, AlgebraElement):
-        original = vars(cls)["__post_init__"]
+        original = cls.__post_init__
 
         def counted(self, _original=original, _cls=cls):
             seen.append(_cls)
@@ -162,11 +187,13 @@ def test_fast_init_runs_post_init_through_the_instance(one_loop, monkeypatch):
 
 
 def test_derived_state_stays_out_of_the_fields(one_loop):
-    # __post_init__ stores hashes and caches beside the fields; they take
-    # no part in equality or repr.
+    # __post_init__ stores caches such as Graph.sole_exits beside the
+    # fields, and the first hash stores _hash there; neither takes part in
+    # equality or repr.
     w = parse_word(one_loop, "l")
+    hash(one_loop)
     assert repr(one_loop).startswith("Graph(vertices=('v',), edges=(Edge(")
-    assert "sole_exits" not in repr(one_loop)
+    assert "sole_exits" not in repr(one_loop) and "_hash" not in repr(one_loop)
     assert w == PathWord(one_loop, ("l",), "v", "v")
     a = AlgebraElement.generator(one_loop, Backend.axiomatic(), w)
     b = AlgebraElement.generator(one_loop, Backend.axiomatic(), w)
