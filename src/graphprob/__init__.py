@@ -15,8 +15,7 @@ cumulants, and structural predictions across the two backends.
 # imported on first use (PEP 562), so a command loads only its layers.
 _MODULES = {
     **dict.fromkeys(
-        ("AlgebraElement", "DiagonalElement", "FaithfulnessReport", "faithfulness_probe"),
-        "algebra",
+        ("AlgebraElement", "DiagonalElement", "faithfulness_probe"), "algebra"
     ),
     **dict.fromkeys(
         ("FreenessReport", "RDiagonalReport", "SemicircularReport",
@@ -25,7 +24,7 @@ _MODULES = {
         "analyzers",
     ),
     **dict.fromkeys(("AuditReport", "claims_audit"), "audit"),
-    **dict.fromkeys(("CumulantFunctional", "CumulantSource", "mixed_cumulant_scan"), "cumulants"),
+    **dict.fromkeys(("CumulantFunctional", "mixed_cumulant_scan"), "cumulants"),
     **dict.fromkeys(
         ("DressedTag", "PairSource", "cumulant_to_moment", "dressed_tags"), "nestings"
     ),

@@ -450,24 +450,12 @@ class AlgebraElement(Record):
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        return " + ".join(f"{c}*{m.display()}" for m, c in self.terms)
+        return " + ".join(f"{c}*{m}" for m, c in self.terms)
 
 
-class FaithfulnessReport(Record):
-    """Outcome of probing E(a* a) = 0 => a = 0 on a sample list."""
-
-    backend: str
-    counterexamples: tuple[str, ...]
-
-    @property
-    def faithful_on_samples(self) -> bool:
-        return not self.counterexamples
-
-
-def faithfulness_probe(graph: Graph, backend: Backend, samples) -> FaithfulnessReport:
-    """Evaluate E(a* a) for each sample and flag vanishing witnesses."""
-    bad = []
-    for a in samples:
-        if a.adjoint().expect_product(a).is_zero and not a.is_zero:
-            bad.append(str(a))
-    return FaithfulnessReport(str(backend), tuple(bad))
+def faithfulness_probe(samples) -> tuple[str, ...]:
+    """Probe E(a* a) = 0 => a = 0: the nonzero samples whose E(a* a)
+    vanishes, as text; empty when the probe finds no counterexample."""
+    return tuple(
+        str(a) for a in samples if a.adjoint().expect_product(a).is_zero and not a.is_zero
+    )

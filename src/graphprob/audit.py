@@ -93,10 +93,10 @@ def _faithful(graph, backend, word, vertex):
         AlgebraElement.generator(graph, backend, word),
         AlgebraElement.generator(graph, backend, word, starred=True),
     ]
-    probe = faithfulness_probe(graph, backend, samples)
-    if probe.faithful_on_samples:
+    bad = faithfulness_probe(samples)
+    if not bad:
         return "no counterexamples", True
-    return f"counterexample: a = {probe.counterexamples[0]}", False
+    return f"counterexample: a = {bad[0]}", False
 
 
 def _semicircular(graph, backend, word, vertex):

@@ -3,6 +3,10 @@
 Element expressions follow the grammar in ``parse_element_ast``: ``a:w``
 is ``L[w] + L*[w]``, juxtaposition multiplies, vertex words are ``@v``.
 
+``main`` reads the graph file, so its faults come before any other, and
+``cmd_<name>(args, graph)`` returns the output as a pair of callables,
+(text, JSON value), of which ``main`` writes the one ``--format`` names.
+
 Exit codes: 0 on success, 1 on a reported domain error (a JSON error
 object goes to stderr), 2 on argument errors.  Output is deterministic
 for fixed inputs.
@@ -143,7 +147,7 @@ def _make_backend(args, auto_depth: int) -> Backend:
     return Backend.fock(auto_depth if args.depth is None else args.depth)
 
 
-def _prepare(args, families, min_order: int, message: str):
+def _prepare(args, graph: Graph, families, min_order: int, message: str):
     """The backend and the elements a command works on, given one list
     of expressions per family; the elements come back in one list.
 
@@ -155,12 +159,11 @@ def _prepare(args, families, min_order: int, message: str):
     small to build with still builds, at the written degree, so that its
     error names a depth that covers the work too.  The automatic depth is
     the written degree times the order.  Faults are reported in a fixed
-    order: graph file, order, expression syntax, words, backend options,
-    element construction, depth.
+    order: graph file (read by ``main``), order, expression syntax, words,
+    backend options, element construction, depth.
     """
     from .operators import Backend
 
-    graph = _load_graph(args.graph)
     if args.max_order < min_order:
         raise DomainError(message)
     asts = [[parse_element_ast(text) for text in family] for family in families]
@@ -173,18 +176,10 @@ def _prepare(args, families, min_order: int, message: str):
     return backend, [x for family in elements for x in family]
 
 
-def _render(args, text_fn, json_fn) -> str:
-    if args.format == "json":
-        return json.dumps(json_fn(), ensure_ascii=False, indent=2)
-    return text_fn()
-
-
 # ---- subcommands ----
 
 
-def cmd_validate(args) -> str:
-    graph = _load_graph(args.graph)
-
+def cmd_validate(args, graph: Graph):
     def text():
         lines = [f"graph ok: {graph.summary()}", "vertices: " + " ".join(graph.vertices)]
         for e in graph.edges:
@@ -202,11 +197,10 @@ def cmd_validate(args) -> str:
             ],
         }
 
-    return _render(args, text, as_json)
+    return text, as_json
 
 
-def cmd_paths(args) -> str:
-    graph = _load_graph(args.graph)
+def cmd_paths(args, graph: Graph):
     if args.max_len < 0:
         raise DomainError("max length must be nonnegative")
     words = enumerate_paths(graph, args.max_len)
@@ -230,87 +224,84 @@ def cmd_paths(args) -> str:
             for w in words
         ]
 
-    return _render(args, text, as_json)
+    return text, as_json
 
 
-def cmd_decompose(args) -> str:
+def cmd_decompose(args, graph: Graph):
     from .structure import decompose
 
-    graph = _load_graph(args.graph)
     report = decompose(graph, args.loop_bound)
-    return _render(args, report.to_text, report.to_json_dict)
+    return report.to_text, report.to_json_dict
 
 
-def _render_series(args, name: str, a: AlgebraElement, backend: Backend, values) -> str:
-    """The moments or cumulants of ``a``: ``values`` holds orders 1, 2, ..."""
+def _series(args, graph: Graph, name: str, values_of):
+    """The moments or cumulants of the command's element ``a``:
+    ``values_of(a)`` gives orders 1, 2, ..., ``--max-order``."""
     from .algebra import SeriesTerm
 
-    terms = [SeriesTerm(n, v) for n, v in enumerate(values, start=1)]
+    backend, (a,) = _prepare(args, graph, [[args.element]], 1, "max order must be positive")
+    terms = [SeriesTerm(n, v) for n, v in enumerate(values_of(a), start=1)]
 
     def text():
         rows = [[str(t.order), str(t.value)] for t in terms]
         return "\n".join([f"{name} of {a}  [{backend}]", format_table(["order", "value"], rows)])
 
-    return _render(args, text, lambda: to_json({"element": str(a), "backend": backend, name: terms}))
+    return text, lambda: to_json({"element": str(a), "backend": backend, name: terms})
 
 
-def cmd_moments(args) -> str:
-    backend, (a,) = _prepare(args, [[args.element]], 1, "max order must be positive")
-    return _render_series(args, "moments", a, backend, a.moments(args.max_order))
+def cmd_moments(args, graph: Graph):
+    return _series(args, graph, "moments", lambda a: a.moments(args.max_order))
 
 
-def cmd_cumulants(args) -> str:
+def cmd_cumulants(args, graph: Graph):
     from .cumulants import cumulant_series
 
-    backend, (a,) = _prepare(args, [[args.element]], 1, "max order must be positive")
-    return _render_series(args, "cumulants", a, backend, cumulant_series(a, args.max_order))
+    return _series(args, graph, "cumulants", lambda a: cumulant_series(a, args.max_order))
 
 
-def cmd_check_semicircular(args) -> str:
+def cmd_check_semicircular(args, graph: Graph):
     from .analyzers import check_semicircular
 
     _, (a,) = _prepare(
-        args, [[args.element]], 2, "semicircularity needs max order at least 2"
+        args, graph, [[args.element]], 2, "semicircularity needs max order at least 2"
     )
     report = check_semicircular(a, args.max_order)
-    return _render(args, report.to_text, report.to_json_dict)
+    return report.to_text, report.to_json_dict
 
 
-def cmd_check_rdiagonal(args) -> str:
+def cmd_check_rdiagonal(args, graph: Graph):
     from .analyzers import check_r_diagonal
 
-    graph = _load_graph(args.graph)
     if args.max_order < 2:
         raise DomainError("R-diagonality needs max order at least 2")
     word = parse_word(graph, args.word)
     backend = _make_backend(args, max(1, word.length) * args.max_order)
     backend.gate(word.length * args.max_order)
     report = check_r_diagonal(graph, backend, word, args.max_order)
-    return _render(args, report.to_text, report.to_json_dict)
+    return report.to_text, report.to_json_dict
 
 
-def cmd_check_freeness(args) -> str:
+def cmd_check_freeness(args, graph: Graph):
     from .analyzers import check_freeness
 
     _, elements = _prepare(
-        args, [args.family_a, args.family_b], 1, "max order must be positive"
+        args, graph, [args.family_a, args.family_b], 1, "max order must be positive"
     )
     split = len(args.family_a)
     report = check_freeness(elements[:split], elements[split:], args.max_order)
-    return _render(args, report.to_text, report.to_json_dict)
+    return report.to_text, report.to_json_dict
 
 
-def cmd_audit(args) -> str:
+def cmd_audit(args, graph: Graph):
     from .audit import AUDIT_DEPTHS, claims_audit
     from .operators import Backend
 
-    graph = _load_graph(args.graph)
     # claims_audit gates the depth its rows need, at most the default.
     backends = [_make_backend(args, max(AUDIT_DEPTHS.values()))]
     if args.backend == "both":
         backends.insert(0, Backend.axiomatic())
     report = claims_audit(graph, backends)
-    return _render(args, report.to_text, report.to_json_dict)
+    return report.to_text, report.to_json_dict
 
 
 # ---- driver ----
@@ -334,7 +325,7 @@ def _max_order(default: int):
 
 # Each command: its help line and its arguments after the graph file, as
 # (name, argparse options) in the order its --help lists them.  A
-# command's function is the module's cmd_<name>, looked up when parsing.
+# command's function is the module's cmd_<name>, looked up when it runs.
 _COMMANDS = {
     "validate": ("parse a graph file and echo its contents", _OUTPUT_OPTS),
     "paths": ("enumerate admissible words up to a length",
@@ -364,10 +355,6 @@ def _arguments(command: str):
     return (("graph", {}), *_COMMANDS[command][1])
 
 
-def _func(command: str):
-    return globals()["cmd_" + command.replace("-", "_")]
-
-
 def _parser():
     import argparse
 
@@ -380,7 +367,6 @@ def _parser():
         p = sub.add_parser(command, help=summary)
         for name, options in _arguments(command):
             p.add_argument(name, **options)
-        p.set_defaults(func=_func(command))
     return parser
 
 
@@ -425,7 +411,7 @@ def _parse_plain(argv):
     if any(spec.get("required") and name not in values for name, spec in options.items()):
         return None
     values.update(zip(names, positionals))
-    fields = {"command": command, "func": _func(command)}
+    fields = {"command": command}
     for name, spec in arguments:
         fields[name.lstrip("-").replace("-", "_")] = values.get(name, spec.get("default"))
     return SimpleNamespace(**fields)
@@ -440,7 +426,12 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        out = args.func(args) + "\n"
+        cmd = globals()["cmd_" + args.command.replace("-", "_")]
+        text, as_json = cmd(args, _load_graph(args.graph))
+        if args.format == "json":
+            out = json.dumps(as_json(), ensure_ascii=False, indent=2) + "\n"
+        else:
+            out = text() + "\n"
         if args.output is None:
             sys.stdout.write(out)
             return 0

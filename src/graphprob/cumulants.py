@@ -88,18 +88,6 @@ def _first_blocks(lo: int, hi: int, balanced=lambda i, j: True) -> list[tuple[in
     return out
 
 
-class CumulantSource:
-    """Order-indexed brackets with diagonal values, summed over nestings.
-
-    Subclasses supply ``valuation(args)``.  A nested gap's value dresses
-    the argument to its left as ``arg * diag``, the right D_G action, so
-    the arguments a source takes must define ``*`` by a diagonal element.
-    """
-
-    def valuation(self, args) -> DiagonalElement:
-        raise NotImplementedError
-
-
 def _grading(args):
     """``balanced(i, j)`` over positions of ``args``: False only when
     a_{i+1} ... a_j all have known images and their product is not 1.
@@ -122,7 +110,7 @@ def _grading(args):
     return balanced
 
 
-class CumulantFunctional(CumulantSource):
+class CumulantFunctional:
     """The cumulants of algebra elements, by the graded first-block
     recursion over memoized gap moments (see the module docstring).
 

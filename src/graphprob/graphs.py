@@ -16,8 +16,9 @@ from .records import Record
 
 IDENT_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
 IDENT = re.compile(IDENT_PATTERN + r"\Z")
-_NAME = re.compile(r"\S+")
-_EDGE_LINE = re.compile(r"edge\s+({0})\s*:\s*({0})\s*->\s*({0})\Z".format(IDENT_PATTERN))
+_SPACE = " \t\n\r\x0b\x0c"
+_NAME = re.compile(r"\S+", re.ASCII)
+_EDGE_LINE = re.compile(r"edge\s+({0})\s*:\s*({0})\s*->\s*({0})\Z".format(IDENT_PATTERN), re.ASCII)
 
 
 class Edge(Record):
@@ -78,6 +79,7 @@ def parse_graph(text: str) -> Graph:
     Grammar: ``#`` starts a comment, one ``vertices:`` line lists vertex
     identifiers, and each ``edge <id>: <v1> -> <v2>`` line adds an edge.
     Identifiers match ``[A-Za-z_][A-Za-z0-9_]*`` and share one namespace.
+    Lines end at ``\n`` only, and whitespace is ASCII whitespace.
 
     Raises:
         GraphSyntaxError: malformed line, duplicate identifier or
@@ -90,11 +92,11 @@ def parse_graph(text: str) -> Graph:
         if name in seen:
             raise GraphSyntaxError(f"duplicate identifier: {name}", ln, col)
         seen.add(name)
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip(_SPACE)
         if not line:
             continue
-        col0 = len(raw) - len(raw.lstrip()) + 1  # the column of line[0]
+        col0 = len(raw) - len(raw.lstrip(_SPACE)) + 1  # the column of line[0]
         if line.startswith("vertices:"):
             if vertices is not None:
                 raise GraphSyntaxError("second vertices line", ln)
@@ -120,7 +122,7 @@ def parse_graph(text: str) -> Graph:
                     )
             edges.append(Edge(eid, v1, v2))
         else:
-            raise GraphSyntaxError(f"unrecognized line: {line.split()[0]!r}", ln)
+            raise GraphSyntaxError(f"unrecognized line: {_NAME.match(line)[0]!r}", ln)
     if vertices is None:
         raise GraphSyntaxError("missing vertices line", 1)
     return Graph(tuple(vertices), tuple(edges))

@@ -16,7 +16,7 @@ import itertools
 import math
 
 from .algebra import DiagonalElement
-from .cumulants import CumulantFunctional, CumulantSource, _first_blocks
+from .cumulants import CumulantFunctional, _first_blocks
 from .errors import ArityBoundError, DomainError
 from .records import Record
 
@@ -97,7 +97,7 @@ def enumerate_nc(n: int) -> tuple[NCPartition, ...]:
     return tuple(NCPartition(n, blocks) for blocks in _nc_of(1, n))
 
 
-def _nestings(args, source: CumulantSource, first_blocks) -> DiagonalElement:
+def _nestings(args, source, first_blocks) -> DiagonalElement:
     """Sum the nestings of brackets on positions 1..n whose block at the
     start of each span (lo, hi) is one of ``first_blocks(lo, hi)``; each
     span's sum is computed once per call, and a span with no block is
@@ -127,7 +127,7 @@ def _nestings(args, source: CumulantSource, first_blocks) -> DiagonalElement:
     return span(1, len(args))
 
 
-def nested_evaluate(pi: NCPartition, args, source: CumulantSource) -> DiagonalElement:
+def nested_evaluate(pi: NCPartition, args, source) -> DiagonalElement:
     """Evaluate one non-crossing nesting of brackets; summed over
     ``enumerate_nc``, the brute-force reference for the recursion.
 
@@ -149,9 +149,10 @@ def moment_to_cumulant(args) -> DiagonalElement:
     return CumulantFunctional().valuation(tuple(args))
 
 
-def cumulant_to_moment(args, source: CumulantSource) -> DiagonalElement:
-    """Sum of all non-crossing nestings: restores E(a_1 ... a_n) when the
-    source is the cumulant functional of the same elements."""
+def cumulant_to_moment(args, source) -> DiagonalElement:
+    """Sum of all non-crossing nestings of ``source.valuation`` brackets:
+    E(a_1 ... a_n) when the source is ``CumulantFunctional``.  A gap's
+    value dresses the slot to its left as ``arg * diag`` (right D_G action)."""
     args = tuple(args)
     if not args:
         raise DomainError("empty argument tuple")
@@ -177,7 +178,7 @@ def dressed_tags(graph, tags) -> tuple[DressedTag, ...]:
     return tuple(DressedTag(t, unit) for t in tags)
 
 
-class PairSource(CumulantSource):
+class PairSource:
     """Abstract bracket family whose only nonzero order is two: every
     pair evaluates to one fixed diagonal value times the dressings its
     slots accumulated."""

@@ -175,15 +175,12 @@ class Monomial(Record):
     def sort_key(self):
         return (self.creation.key(), self.annihilation.key())
 
-    def display(self) -> str:
+    def __str__(self) -> str:
         if self.annihilation.is_vertex:
             return f"L[{self.creation}]"
         if self.creation.is_vertex:
             return f"L*[{self.annihilation}]"
         return f"L[{self.creation}]L*[{self.annihilation}]"
-
-    def __str__(self) -> str:
-        return self.display()
 
 
 def compose(m1: Monomial, m2: Monomial) -> Monomial | None:

@@ -23,7 +23,10 @@ GOLDENS = ROOT / "tests" / "goldens"
 # run on both backends.
 # The JSON cases pin each report shape: a semicircular report with an
 # offender, a freeness report with a finding, and both series, whose
-# backend is an object rather than a string.
+# backend is an object rather than a string.  The text cases at the end
+# pin the decomposition table, the paths table (also as JSON) and a
+# semicircular offender row (the axiomatic one-loop law is not
+# semicircular: its fourth bracket is -2*L[@v]).
 PINNED = (
     ("audit-loops_bridge-json", ("audit", "loops_bridge", "--format", "json"),
      "audit_loops_bridge.json"),
@@ -100,6 +103,14 @@ PINNED = (
      ("check-freeness", "mixed_exits", "--family-a", "L[e.f]", "--family-b", "L[h]",
       "--family-b", "L[g]", "--max-order", "5", "--backend", "axiomatic"),
      "freeness_mixed_exits_axiomatic.txt"),
+    ("decompose-bouquet3-text", ("decompose", "bouquet3", "--loop-bound", "2"),
+     "decompose_bouquet3.txt"),
+    ("paths-lollipop-text", ("paths", "lollipop", "--max-len", "2"), "paths_lollipop.txt"),
+    ("paths-lollipop-json", ("paths", "lollipop", "--max-len", "2", "--format", "json"),
+     "paths_lollipop.json"),
+    ("semicircular-one_loop-text",
+     ("check-semicircular", "one_loop", "a:l", "--backend", "axiomatic", "--max-order", "4"),
+     "semicircular_one_loop.txt"),
 )
 
 

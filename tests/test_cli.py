@@ -692,3 +692,38 @@ def test_traced_run_prints_the_same_bytes(tmp_path, capsys, argv):
     )
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == out.encode("utf-8")
+
+
+# Each request bound a command checks before any work, with the message
+# it reports.
+BOUND_FAULTS = (
+    (("moments", ONE_LOOP, "a:l", "--max-order", "0"), "max order must be positive"),
+    (("cumulants", ONE_LOOP, "a:l", "--max-order", "0"), "max order must be positive"),
+    (("check-freeness", ONE_LOOP, "--family-a", "L[l]", "--family-b", "L*[l]",
+      "--max-order", "0"), "max order must be positive"),
+    (("check-semicircular", ONE_LOOP, "a:l", "--max-order", "1"),
+     "semicircularity needs max order at least 2"),
+    (("check-rdiagonal", SINGLE_EDGE, "e", "--max-order", "1"),
+     "R-diagonality needs max order at least 2"),
+    (("paths", ONE_LOOP, "--max-len", "-1"), "max length must be nonnegative"),
+    (("decompose", ONE_LOOP, "--loop-bound", "0"), "loop length bound must be positive"),
+    (("audit", ONE_LOOP, "--backend", "axiomatic", "--depth", "4"),
+     "depth applies to the fock backend"),
+)
+
+
+def test_request_bounds_are_domain_errors(capsys):
+    for argv, message in BOUND_FAULTS:
+        assert run(capsys, *argv) == (
+            1, "", json.dumps({"error": {"code": "domain-error", "message": message}}) + "\n"
+        ), argv
+
+
+def test_missing_graph_file_is_reported_before_the_request(tmp_path, capsys):
+    # Every command, with a request fault after a graph file that is not there.
+    missing = str(tmp_path / "no_such.graph")
+    cases = [("validate", missing)] + [(argv[0], missing, *argv[2:]) for argv, _ in BOUND_FAULTS]
+    assert {argv[0] for argv in cases} == set(cli._COMMANDS)
+    for argv in cases:
+        message = _file_error(capsys, *argv)
+        assert message.startswith("cannot read graph file: "), argv

@@ -20,7 +20,7 @@ from graphprob import (
 )
 from graphprob.algebra import SeriesTerm
 from graphprob.cli import main, parse_element
-from graphprob.cumulants import CumulantSource, MixedScanReport, ScanFinding, cumulant_series
+from graphprob.cumulants import MixedScanReport, ScanFinding, cumulant_series
 from graphprob.errors import ArityBoundError
 from graphprob.nestings import (
     NCPartition,
@@ -197,7 +197,7 @@ def test_recursion_matches_partition_sum(graphs, name, backend):
     assert nonzero > 0
 
 
-class PartitionSumSource(CumulantSource):
+class PartitionSumSource:
     """k_n by definition: E(a_1 ... a_n) minus the partition sum over the
     non-full members of ``enumerate_nc``, memoized and never graded."""
 

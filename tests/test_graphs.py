@@ -58,6 +58,8 @@ def test_identifier_faults_carry_line_and_column():
         ("vertices: a\nedge e: a -> a\nedge e: a -> a\n", 3, 6, "duplicate identifier: e"),
         ("vertices: a\nedge e: zz -> a\n", 2, 9, "undeclared vertex zz"),
         ("vertices: a\nedge e: a ->  zz  # c\n", 2, 15, "undeclared vertex zz"),
+        # A no-break space separates nothing: it is part of the name.
+        ("vertices: a\xa0b\n", 1, 11, r"bad identifier 'a\\xa0b'"),
     )
     for text, line, column, message in cases:
         with pytest.raises(GraphSyntaxError, match=message) as exc:
@@ -80,6 +82,37 @@ def test_bad_identifier_rejected():
         with pytest.raises(GraphSyntaxError) as exc:
             parse_graph(text)
         assert (exc.value.line, exc.value.column) == (1, column)
+
+
+def test_line_faults_carry_line_and_column():
+    cases = (
+        ("vertices: a\n\n  vertices: b\n", 3, 1, "second vertices line"),
+        ("vertices: a\n  node b  # c\n", 2, 1, "unrecognized line: 'node'"),
+        ("", 1, 1, "missing vertices line"),
+        ("# only a comment\n\n", 1, 1, "missing vertices line"),
+        # Whitespace is ASCII: a no-break space is part of the line's text.
+        ("vertices: a\nedge e:\xa0a -> a\n", 2, 1, "malformed edge line"),
+        ("vertices: a\n\xa0edge e: a -> a\n", 2, 1, "unrecognized line: '\\xa0edge'"),
+    )
+    for text, line, column, message in cases:
+        with pytest.raises(GraphSyntaxError) as exc:
+            parse_graph(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value) == f"line {line}, column {column}: {message}"
+
+
+def test_lines_end_at_newline_only():
+    # A NEL (U+0085) inside a comment does not end the line, so the rest
+    # of the comment is no edge line.
+    g = parse_graph("vertices: a # note\x85edge e: a -> a\n")
+    assert g.vertices == ("a",) and g.edges == ()
+    # Text after a U+2028 stays in its line's comment, so line numbers
+    # count newlines only.
+    with pytest.raises(GraphSyntaxError) as exc:
+        parse_graph("# a\u2028b\nvertices: a\nvertices: b\n")
+    assert exc.value.line == 3
+    g = parse_graph("vertices: a b\r\nedge e: a -> b\r\n")
+    assert g.vertices == ("a", "b") and g.edges[0].final == "b"
 
 
 # ---- words ----

@@ -87,10 +87,10 @@ def test_monomial_needs_shared_final_vertex(c3):
 def test_monomial_display_forms(c3):
     e1 = parse_word(c3, "e1")
     v2 = PathWord.vertex(c3, "v2")
-    assert Monomial(e1, v2).display() == "L[e1]"
-    assert Monomial(v2, e1).display() == "L*[e1]"
-    assert Monomial(v2, v2).display() == "L[@v2]"
-    assert Monomial(e1, e1).display() == "L[e1]L*[e1]"
+    assert str(Monomial(e1, v2)) == "L[e1]"
+    assert str(Monomial(v2, e1)) == "L*[e1]"
+    assert str(Monomial(v2, v2)) == "L[@v2]"
+    assert str(Monomial(e1, e1)) == "L[e1]L*[e1]"
 
 
 def test_from_symbol(c3):

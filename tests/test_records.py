@@ -47,7 +47,7 @@ def _values(cls, tag):
 
 
 def test_every_value_type_is_a_record():
-    assert len(RECORDS) == 26
+    assert len(RECORDS) == 25
     assert all(cls._fields for cls in RECORDS)
 
 
