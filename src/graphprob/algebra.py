@@ -9,10 +9,9 @@ on which backend it is.
 
 Where only the expectation of a product is read, ``expect_product``
 joins the two factors' terms on their free-group images and never forms
-the product; ``moments`` meets in the middle with it, folding powers
-only up to half the order.  ``visible`` cuts a factor to the terms that
-can still reach E, which the folds of ``moments`` and the brackets'
-prefix products keep after every step.
+the product.  ``MomentTable`` reads E(a_1 ... a_n) that way for
+``moments`` and the brackets, joining two halves of the product, each
+cut by ``visible`` to the terms that can still reach E.
 """
 
 from __future__ import annotations
@@ -386,30 +385,14 @@ class AlgebraElement(Record):
         return DiagonalElement.make(self.graph, acc)
 
     def moments(self, n: int) -> list[DiagonalElement]:
-        """The moments E(a), ..., E(a^n), met in the middle.
-
-        With h = ceil(n/2), the left powers a, ..., a^(n-h) are folded
-        keeping their visible creation words and the right power a^h as
-        ``a * R`` keeping its visible annihilation words (``visible``);
-        each higher moment is the ``expect_product`` of a left power and
-        the right one.  The cuts keep every vertex term, so the powers'
-        own expectations are the lower moments.  The depth must cover n
-        times the degree before any power is formed.
-        """
+        """E(a), ..., E(a^n) from one ``MomentTable``, whose halves are
+        powers, each one product from the next lower one.  The depth must
+        cover n times the degree before any power is formed."""
         if n < 1:
             raise DomainError("moments need n >= 1")
         self.backend.gate(n * self.degree)
-        half = (n + 1) // 2
-        left = [self.visible("creation")]
-        while len(left) < n - half:
-            left.append((left[-1] * self).visible("creation"))
-        right = self.visible("annihilation")
-        for _ in range(half - 1):
-            right = (self * right).visible("annihilation")
-        values = [p.expectation() for p in left[: half - 1]] + [right.expectation()]
-        for k in range(half + 1, n + 1):
-            values.append(left[k - half - 1].expect_product(right))
-        return values
+        table = MomentTable()
+        return [table.moment((self,) * k) for k in range(1, n + 1)]
 
     def adjoint(self) -> "AlgebraElement":
         acc = {m.adjoint(): c.conjugate() for m, c in self.terms}
@@ -451,6 +434,45 @@ class AlgebraElement(Record):
         if self.is_zero:
             return "0"
         return " + ".join(f"{c}*{m}" for m, c in self.terms)
+
+
+class MomentTable:
+    """E(a_1 ... a_n) per argument tuple, met in the middle: the product
+    of the first n//2 arguments, cut to its visible creation words, is
+    joined (``expect_product``) with the product of the rest, cut to its
+    visible annihilation words.  Each half is one product from the next
+    shorter half on its side, memoized like the moments, so tuples that
+    share a prefix or a suffix share its half.  The caller gates the depth.
+    """
+
+    def __init__(self):
+        self._moments: dict = {}
+        self._halves: dict = {}
+
+    def _half(self, args, side: str) -> AlgebraElement:
+        """The product of ``args`` cut to the terms E sees on ``side``."""
+        half = self._halves.get((args, side))
+        if half is None:
+            if len(args) == 1:
+                half = args[0]
+            elif side == "creation":
+                half = self._half(args[:-1], side) * args[-1]
+            else:
+                half = args[0] * self._half(args[1:], side)
+            half = self._halves[args, side] = half.visible(side)
+        return half
+
+    def moment(self, args) -> DiagonalElement:
+        value = self._moments.get(args)
+        if value is None:
+            if len(args) == 1:
+                value = args[0].expectation()
+            else:
+                cut = len(args) // 2
+                value = self._half(args[:cut], "creation").expect_product(
+                    self._half(args[cut:], "annihilation"))
+            self._moments[args] = value
+        return value
 
 
 def faithfulness_probe(samples) -> tuple[str, ...]:

@@ -32,13 +32,11 @@ first blocks whose gaps and tail are balanced, and a mixed scan walks
 only the prefixes that can still balance.  An unknown image (a sum of
 differently graded terms) counts as balanced.
 
-A moment ``E(a_1 ... a_n)`` joins the prefix product ``a_1 ... a_(n-1)``
-with ``a_n`` on vertex terms.  Moments are memoized per argument tuple,
-and prefix products per argument prefix, each product cut to the terms
-E can still see (``AlgebraElement.visible``).  Explicit sums over
-nestings (``cumulant_to_moment``, the abstract ``PairSource``, and the
-brute-force reference ``enumerate_nc`` with ``nested_evaluate``) live in
-``nestings`` and are re-exported here on first use.
+Moments come from one ``algebra.MomentTable`` per functional, which
+meets in the middle.  Explicit sums over nestings (``cumulant_to_moment``,
+the abstract ``PairSource``, and the brute-force reference
+``enumerate_nc`` with ``nested_evaluate``) live in ``nestings`` and are
+re-exported here on first use.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import DomainError
-from .algebra import AlgebraElement, DiagonalElement
+from .algebra import AlgebraElement, DiagonalElement, MomentTable
 from .operators import free_product
 from .records import Record
 
@@ -112,54 +110,31 @@ def _grading(args):
 
 class CumulantFunctional:
     """The cumulants of algebra elements, by the graded first-block
-    recursion over memoized gap moments (see the module docstring).
+    recursion (see the module docstring).
 
-    Values are memoized per argument tuple, moments per argument tuple
-    and prefix products per argument prefix, so one functional instance
-    shared across a scan or a series computes each lower bracket, gap
-    moment and shared prefix once.  The depth gate takes the arguments'
-    total degree, the bound on every product's degree, before a bracket
-    is evaluated.
+    Values are memoized per argument tuple and moments come from one
+    ``MomentTable``, so a functional shared across a scan or a series
+    computes each lower bracket, moment and half product once.  The depth
+    gate takes the arguments' total degree before a bracket is evaluated.
     """
 
     def __init__(self):
         self._memo: dict = {}
-        self._moments: dict = {}
-        self._prefixes: dict = {}
-
-    def _prefix(self, args) -> AlgebraElement:
-        """The product of ``args`` cut to its visible creation words."""
-        prod = self._prefixes.get(args)
-        if prod is None:
-            prod = args[0] if len(args) == 1 else self._prefix(args[:-1]) * args[-1]
-            prod = self._prefixes[args] = prod.visible("creation")
-        return prod
-
-    def _moment(self, args) -> DiagonalElement:
-        """E(a_1 ... a_n); the last factor only feeds the expectation, so
-        it is joined on vertex terms instead of multiplied out."""
-        value = self._moments.get(args)
-        if value is None:
-            if len(args) == 1:
-                value = args[0].expectation()
-            else:
-                value = self._prefix(args[:-1]).expect_product(args[-1])
-            self._moments[args] = value
-        return value
+        self._table = MomentTable()
 
     def _block(self, args, block) -> DiagonalElement | None:
         """The term of the first block ``block``: its bracket, with each
         gap's moment dressing the slot before it, times the moment of the
         tail; None when a dressing or the tail is zero."""
         last = block[-1]
-        tail = self._moment(args[last:]) if last < len(args) else None
+        tail = self._table.moment(args[last:]) if last < len(args) else None
         if tail is not None and tail.is_zero:
             return None
         slots, scale = [], None
         for b, nxt in zip(block, block[1:] + (last + 1,)):
             arg = args[b - 1]
             if nxt > b + 1:
-                gap = self._moment(args[b:nxt - 1])
+                gap = self._table.moment(args[b:nxt - 1])
                 v = arg.annihilation_vertex
                 if v is None:
                     arg = arg * gap
@@ -194,7 +169,7 @@ class CumulantFunctional:
         balanced = _grading(args)
         total = DiagonalElement.zero(graph)
         if balanced(0, n):
-            total = self._moment(args)
+            total = self._table.moment(args)
             for block in _first_blocks(1, n, balanced):
                 if len(block) < n:
                     val = self._block(args, block)

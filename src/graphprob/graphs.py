@@ -201,7 +201,7 @@ class PathWord(Record):
 
 def parse_word(graph: Graph, text: str) -> PathWord:
     """Parse ``@v`` as a vertex word or ``e1.e2`` as an edge path."""
-    text = text.strip()
+    text = text.strip(_SPACE)
     if not text:
         raise DomainError("empty word")
     if text.startswith("@"):

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from graphprob import (
     parse_word,
 )
 
+from graphprob.algebra import MomentTable
 from graphprob.operators import compose, free_product
 from graphprob.records import to_json
 
@@ -334,6 +337,33 @@ def test_moments_match_powers(name):
                 assert got == ("depth-insufficient", n * a.degree, backend.depth)
                 rejected += 1
     assert split > 0 and rejected > 0
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_moment_table_matches_products(name):
+    """One table per backend, read by tuples that share prefixes and
+    suffixes, against the full product wherever the depth covers the
+    tuple's total degree."""
+    g = load_fixture(name)
+    rng = random.Random(f"moment-table-{name}")
+    imageless = nonzero = 0
+    for backend in (AX, fock(5), fock(10)):
+        table = MomentTable()
+        pool = _seeded_elements(g, backend, rng, 1, 3)
+        pool += [x + y for x, y in zip(pool, pool[1:])]
+        imageless += sum(x.image is None for x in pool)
+        tuples = []
+        for _ in range(8):
+            args = tuple(rng.choice(pool) for _ in range(rng.randint(1, 6)))
+            tuples += [args[:k] for k in range(1, len(args) + 1)]
+            tuples += [args[k:] for k in range(1, len(args))]
+        rng.shuffle(tuples)
+        for args in tuples:
+            if backend.covers(sum(a.degree for a in args)):
+                got = table.moment(args)
+                assert got == functools.reduce(operator.mul, args).expectation()
+                nonzero += len(args) > 2 and not got.is_zero
+    assert imageless > 0 and nonzero > 0
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -461,6 +461,18 @@ def test_element_digits_and_whitespace_are_ascii(capsys):
         }
 
 
+def test_word_argument_strips_ascii_whitespace_only(capsys):
+    # A no-break space or a line separator is no padding around a word.
+    for word in ("\xa0e", "e\u2028", "\xa0e\u2028"):
+        code, out, err = run(capsys, "check-rdiagonal", SINGLE_EDGE, word, "--max-order", "2")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {"code": "domain-error",
+                                            "message": f"unknown edge: {word}"}
+    code, out, _ = run(capsys, "check-rdiagonal", SINGLE_EDGE, " e ", "--max-order", "2")
+    assert code == 0
+    assert out.startswith("R-diagonality of a = L[e]")
+
+
 def test_request_faults_are_reported_in_a_fixed_order(capsys):
     # Every expression's syntax, then its words, then the backend options.
     def error(family_a, family_b):

@@ -124,6 +124,34 @@ def test_cumulant_series_is_each_order_bracket(one_loop):
     assert err.value.required == 14
 
 
+@pytest.mark.parametrize("name, text", [
+    ("one_loop", "a:l"), ("bouquet3", "a:l1+a:l2+a:l3"), ("c3", "a:e1.e2.e3"),
+])
+def test_series_brackets_cost_no_more_than_moments(name, text, monkeypatch):
+    """Every term leaves one vertex, so no gap dresses a slot, and the
+    brackets read only the moments E(a^k): the series composes no more
+    monomial pairs than the moments do."""
+    import graphprob.algebra as algebra
+
+    calls = [0]
+
+    def counting(m1, m2, compose=algebra.compose):
+        calls[0] += 1
+        return compose(m1, m2)
+
+    monkeypatch.setattr(algebra, "compose", counting)
+    g = load_fixture(name)
+    for backend in (AX, Backend.fock(24)):
+        a = parse_element(g, backend, text)
+        assert a.annihilation_vertex is not None
+        calls[0] = 0
+        a.moments(8)
+        moments = calls[0]
+        calls[0] = 0
+        cumulant_series(a, 8)
+        assert 0 < calls[0] <= moments, (str(backend), calls[0], moments)
+
+
 def test_nested_evaluate_interval_block(one_loop):
     """For {1,4}{2,3} the inner pair dresses the first argument."""
     a = AlgebraElement.symmetrized_generator(one_loop, AX, parse_word(one_loop, "l"))
