@@ -17,6 +17,9 @@ table is ``records.format_table``, so only ``decompose`` loads
 ``structure``.  A command line of plain tokens is parsed from
 ``_COMMANDS`` directly; argparse is imported only for help and usage
 errors (``_parse_plain``).
+
+No option sets the fock depth: each command works it out from its
+request (``_prepare``), as the degree bound of the products it forms.
 """
 
 from __future__ import annotations
@@ -135,45 +138,30 @@ def _load_graph(path: str) -> Graph:
         raise DomainError(f"cannot read graph file: {exc}") from None
 
 
-def _make_backend(args, auto_depth: int) -> Backend:
-    """The backend the options name; fock takes ``--depth``, by default
-    ``auto_depth``.  Callers gate the depth their work needs."""
+def _make_backend(kind: str, depth: int) -> Backend:
+    """The backend of that kind, fock at ``depth``: the degree bound the
+    command works out from its request."""
     from .operators import Backend
 
-    if args.backend == "axiomatic":
-        if args.depth is not None:
-            raise DomainError("depth applies to the fock backend")
-        return Backend.axiomatic()
-    return Backend.fock(auto_depth if args.depth is None else args.depth)
+    return Backend.axiomatic() if kind == "axiomatic" else Backend.fock(depth)
 
 
 def _prepare(args, graph: Graph, families, min_order: int, message: str):
     """The backend and the elements a command works on, given one list
     of expressions per family; the elements come back in one list.
 
-    Building the elements needs fock depth their written degree
-    (``ast_degree``).  The work needs ``(max_order - 1) * larger +
-    smaller`` of the built elements' family degrees, which words that
-    cancel make smaller: a mixed tuple of two families holds an element
-    of each, and with one family it is degree times order.  A depth too
-    small to build with still builds, at the written degree, so that its
-    error names a depth that covers the work too.  The automatic depth is
-    the written degree times the order.  Faults are reported in a fixed
-    order: graph file (read by ``main``), order, expression syntax, words,
-    backend options, element construction, depth.
+    The fock depth is the largest written degree (``ast_degree``) times
+    the max order, at least the order.  No product the command forms is
+    longer, so the library's depth gates pass.  Faults are reported in a
+    fixed order: graph file (read by ``main``), order, expression syntax,
+    words, element construction.
     """
-    from .operators import Backend
-
     if args.max_order < min_order:
         raise DomainError(message)
     asts = [[parse_element_ast(text) for text in family] for family in families]
     written = max(ast_degree(graph, ast) for family in asts for ast in family)
-    backend = _make_backend(args, max(1, written) * args.max_order)
-    builder = backend if backend.covers(written) else Backend.fock(written)
-    elements = [[build_element(graph, builder, ast) for ast in family] for family in asts]
-    degrees = sorted(max(x.degree for x in family) for family in elements)
-    backend.gate(max(written, (args.max_order - 1) * degrees[-1] + degrees[0]))
-    return backend, [x for family in elements for x in family]
+    backend = _make_backend(args.backend, max(1, written) * args.max_order)
+    return backend, [build_element(graph, backend, ast) for family in asts for ast in family]
 
 
 # ---- subcommands ----
@@ -275,8 +263,7 @@ def cmd_check_rdiagonal(args, graph: Graph):
     if args.max_order < 2:
         raise DomainError("R-diagonality needs max order at least 2")
     word = parse_word(graph, args.word)
-    backend = _make_backend(args, max(1, word.length) * args.max_order)
-    backend.gate(word.length * args.max_order)
+    backend = _make_backend(args.backend, max(1, word.length) * args.max_order)
     report = check_r_diagonal(graph, backend, word, args.max_order)
     return report.to_text, report.to_json_dict
 
@@ -294,13 +281,9 @@ def cmd_check_freeness(args, graph: Graph):
 
 def cmd_audit(args, graph: Graph):
     from .audit import AUDIT_DEPTHS, claims_audit
-    from .operators import Backend
 
-    # claims_audit gates the depth its rows need, at most the default.
-    backends = [_make_backend(args, max(AUDIT_DEPTHS.values()))]
-    if args.backend == "both":
-        backends.insert(0, Backend.axiomatic())
-    report = claims_audit(graph, backends)
+    kinds = ("axiomatic", "fock") if args.backend == "both" else (args.backend,)
+    report = claims_audit(graph, [_make_backend(k, max(AUDIT_DEPTHS.values())) for k in kinds])
     return report.to_text, report.to_json_dict
 
 
@@ -310,11 +293,7 @@ _OUTPUT_OPTS = (
     ("--format", {"choices": ("text", "json"), "default": "text"}),
     ("--output", {"default": None, "metavar": "FILE"}),
 )
-_BACKEND_OPTS = (
-    ("--backend", {"choices": ("fock", "axiomatic"), "default": "fock"}),
-    ("--depth", {"type": int, "default": None,
-                 "help": "fock truncation depth (default: scales with order and word length)"}),
-)
+_BACKEND = ("--backend", {"choices": ("fock", "axiomatic"), "default": "fock"})
 _EXPR_HELP = "element expression, e.g. 'a:l' or 'L[e] + L*[e]'"
 _FAMILY = {"action": "append", "required": True, "metavar": "EXPR"}
 
@@ -333,21 +312,21 @@ _COMMANDS = {
     "decompose": ("free product block decomposition",
                   (("--loop-bound", {"type": int, "default": 3}), *_OUTPUT_OPTS)),
     "moments": ("diagonal moments E(a^n)",
-                (("element", {"help": _EXPR_HELP}), _max_order(4), *_BACKEND_OPTS,
+                (("element", {"help": _EXPR_HELP}), _max_order(4), _BACKEND,
                  *_OUTPUT_OPTS)),
     "cumulants": ("diagonal cumulants k_n(a, ..., a)",
-                  (("element", {}), _max_order(4), *_BACKEND_OPTS, *_OUTPUT_OPTS)),
+                  (("element", {}), _max_order(4), _BACKEND, *_OUTPUT_OPTS)),
     "check-semicircular": ("is the element semicircular?",
-                           (("element", {}), _max_order(6), *_BACKEND_OPTS, *_OUTPUT_OPTS)),
+                           (("element", {}), _max_order(6), _BACKEND, *_OUTPUT_OPTS)),
     "check-rdiagonal": ("is the word generator R-diagonal?",
                         (("word", {"help": "path word, e.g. 'e' or 'e1.e2'"}), _max_order(6),
-                         *_BACKEND_OPTS, *_OUTPUT_OPTS)),
+                         _BACKEND, *_OUTPUT_OPTS)),
     "check-freeness": ("mixed cumulants of two families",
                        (("--family-a", _FAMILY), ("--family-b", _FAMILY), _max_order(4),
-                        *_BACKEND_OPTS, *_OUTPUT_OPTS)),
+                        _BACKEND, *_OUTPUT_OPTS)),
     "audit": ("stated-vs-computed audit table",
               (("--backend", {"choices": ("both", "fock", "axiomatic"), "default": "both"}),
-               ("--depth", {"type": int, "default": None}), *_OUTPUT_OPTS)),
+               *_OUTPUT_OPTS)),
 }
 
 

@@ -56,6 +56,6 @@ class DepthError(DomainError):
 
 
 class ArityBoundError(DomainError):
-    """A non-crossing partition enumeration exceeds its size limit."""
+    """An enumeration (non-crossing partitions, path words) exceeds its size limit."""
 
     code = "arity-bound"

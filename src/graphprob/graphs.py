@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from .errors import DomainError, GraphSyntaxError
+from .errors import ArityBoundError, DomainError, GraphSyntaxError
 from .records import Record
 
 IDENT_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -247,11 +247,31 @@ def strip_prefix(prefix: PathWord, word: PathWord) -> PathWord | None:
     return PathWord(word.graph, rest, prefix.final, word.final)
 
 
+PATH_ENUMERATION_LIMIT = 1_000_000
+
+
 def enumerate_paths(graph: Graph, max_len: int) -> list[PathWord]:
     """All words of length at most max_len: vertices first, then by length,
-    then lexicographically by edge-id sequence."""
+    then lexicographically by edge-id sequence.
+
+    The words are counted first, level by level by end vertex.  A word of
+    length n costs n + 1, and a total cost above ``PATH_ENUMERATION_LIMIT``
+    raises ArityBoundError before any word is built."""
     if max_len < 0:
         raise DomainError("max_len must be nonnegative")
+    ends, words, letters = Counter(graph.vertices), 0, 0
+    for length in range(max_len + 1):
+        level = sum(ends.values())
+        words, letters = words + level, letters + level * length
+        if words + letters > PATH_ENUMERATION_LIMIT:
+            raise ArityBoundError(f"{words} words with {letters} letters up to length {length}"
+                                  f" exceed the path enumeration limit {PATH_ENUMERATION_LIMIT}")
+        step = Counter()
+        for e in graph.edges:
+            step[e.final] += ends[e.initial]
+        ends = +step
+        if not ends:
+            break
     out = [PathWord.vertex(graph, v) for v in sorted(graph.vertices)]
     level = out[:]
     for _ in range(max_len):

@@ -177,6 +177,36 @@ def test_library_checks_name_the_depth_of_the_whole_call(one_loop, c3):
         assert [without_backend(r) for r in exact] == [without_backend(r) for r in deeper]
 
 
+def test_depth_error_names_a_depth_that_works(graphs):
+    """Every entry point a command calls, at a depth too small for it: the
+    DepthError names that depth and a required one at which the same call
+    runs.  A mixed tuple of families of degrees 2 and 1 at order 5 needs
+    4 x 2 + 1 = 9; the audit needs 6 with a loop edge, else 2."""
+    from graphprob import DepthError
+    from graphprob.cli import parse_element
+    from graphprob.cumulants import cumulant_series
+
+    def el(name, text, backend):
+        return parse_element(graphs[name], backend, text)
+
+    c3 = graphs["c3"]
+    cases = (
+        (lambda b: el("one_loop", "a:l", b).moments(4), 2, 4),
+        (lambda b: el("bouquet3", "a:l1.l2 + a:l3", b).moments(5), 9, 10),
+        (lambda b: cumulant_series(el("one_loop", "a:l", b), 4), 1, 4),
+        (lambda b: check_semicircular(el("bouquet3", "a:l1 + a:l2", b), 4), 3, 4),
+        (lambda b: check_freeness([el("c3", "L[e1.e2]", b)], [el("c3", "L[e3]", b)], 5), 2, 9),
+        (lambda b: check_r_diagonal(c3, b, parse_word(c3, "e1.e2"), 5), 6, 10),
+        (lambda b: claims_audit(graphs["lollipop"], [b]), 2, 6),
+        (lambda b: claims_audit(graphs["single_edge"], [b]), 1, 2),
+    )
+    for call, depth, required in cases:
+        with pytest.raises(DepthError) as err:
+            call(Backend.fock(depth))
+        assert (err.value.required, err.value.depth) == (required, depth)
+        call(Backend.fock(required))
+
+
 # ---- decomposition ----
 
 

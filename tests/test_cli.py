@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphprob import Backend, DomainError, cli, parse_word
+from graphprob import Backend, DepthError, DomainError, cli, enumerate_paths, parse_word
 from graphprob.cli import (
     ast_degree,
     build_element,
@@ -20,7 +21,7 @@ from graphprob.cli import (
 )
 from graphprob.nestings import catalan
 
-from .conftest import fixture_path
+from .conftest import FIXTURE_NAMES, fixture_path, load_fixture
 from .pinned import GOLDENS, PINNED, ROOT, cli_argv
 
 ONE_LOOP = str(fixture_path("one_loop"))
@@ -295,6 +296,40 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["summary"] == "3 vertices, 3 edges"
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_automatic_depth_covers_every_request(capsys, name):
+    # Seeded sums and products of L[w], L*[w] and a:w over words of length
+    # at most 2, on fock at orders up to 5: the depth each command works
+    # out covers every product it forms, so no request is refused for it.
+    graph = str(fixture_path(name))
+    words = [str(w) for w in enumerate_paths(load_fixture(name), 2) if not w.is_vertex]
+    rng = random.Random(f"automatic-depth-{name}")
+    star = {"L[{}]": "L*[{}]", "L*[{}]": "L[{}]", "a:{}": "a:{}"}  # each factor's adjoint
+
+    def expression(self_adjoint=False):
+        terms = [[(rng.choice(tuple(star)), rng.choice(words)) for _ in range(rng.randint(1, 2))]
+                 for _ in range(rng.randint(1, 2))]
+        if self_adjoint:
+            terms += [[(star[f], w) for f, w in reversed(t)] for t in terms]
+        return " + ".join(" ".join(f.format(w) for f, w in t) for t in terms)
+
+    def order(least):
+        return ("--max-order", str(rng.randint(least, 5)))
+
+    requests = [("audit", graph, "--backend", "fock"), ("audit", graph)]
+    for _ in range(7):
+        requests += [
+            ("moments", graph, expression(), *order(1)),
+            ("cumulants", graph, expression(), *order(1)),
+            ("check-semicircular", graph, expression(self_adjoint=True), *order(2)),
+            ("check-rdiagonal", graph, rng.choice(words), *order(2)),
+            ("check-freeness", graph, "--family-a", expression(), "--family-b", expression(),
+             *order(1)),
+        ]
+    for argv in requests:
+        assert run(capsys, *argv)[::2] == (0, ""), argv
+
+
 # ---- failure modes ----
 
 
@@ -341,77 +376,22 @@ def test_syntax_error_payload(tmp_path, capsys):
     assert payload["line"] == 2
 
 
-def test_depth_error_payload(capsys):
-    # A request needs its largest expression degree times its order,
-    # checked before any work: 1 * 4 and 2 * 5 here.  A freeness scan
-    # needs its mixed-tuple degree, (5 - 1) * 2 + 1 for degrees 2 and 1.
-    cases = (
-        (("moments", ONE_LOOP, "a:l", "--max-order", "4", "--depth", "2"), 4, 2),
-        (("moments", str(fixture_path("bouquet3")), "a:l1.l2 + a:l3", "--max-order", "5",
-          "--depth", "9"), 10, 9),
-        (("check-freeness", C3, "--family-a", "L[e1.e2]", "--family-b", "L[e3]",
-          "--max-order", "5", "--depth", "2"), 9, 2),
-    )
-    for argv, required, depth in cases:
-        code, _, err = run(capsys, *argv)
-        assert code == 1
-        payload = json.loads(err)["error"]
-        assert payload["code"] == "depth-insufficient"
-        assert payload["required"] == required and payload["depth"] == depth
-
-
-def test_depth_error_names_a_depth_that_works(capsys):
-    # Every command that takes --depth, each with a depth that is too
-    # small: the payload's required depth must then succeed.
-    lollipop = str(fixture_path("lollipop"))
-    cases = (
-        ("moments", ONE_LOOP, "a:l", "--max-order", "4", "--depth", "2"),
-        ("cumulants", ONE_LOOP, "a:l", "--max-order", "4", "--depth", "1"),
-        ("check-semicircular", str(fixture_path("bouquet3")), "a:l1 + a:l2",
-         "--max-order", "4", "--depth", "3"),
-        ("check-freeness", C3, "--family-a", "L[e1.e2]", "--family-b", "L[e3]",
-         "--max-order", "5", "--depth", "2"),
-        ("check-rdiagonal", C3, "e1.e2", "--max-order", "5", "--depth", "6"),
-        ("audit", lollipop, "--backend", "fock", "--depth", "2"),
-        ("audit", SINGLE_EDGE, "--backend", "fock", "--depth", "1"),
-    )
-    for argv in cases:
-        code, _, err = run(capsys, *argv)
-        assert code == 1, argv
-        payload = json.loads(err)["error"]
-        assert payload["code"] == "depth-insufficient" and payload["depth"] == int(argv[-1])
-        assert payload["required"] > payload["depth"]
-        assert run(capsys, *argv[:-1], str(payload["required"]))[0] == 0, argv
-    # For unequal families the mixed-tuple degree, 9 here, is enough, and
-    # gives the report of the automatic depth, 10.
-    freeness = ("check-freeness", C3, "--family-a", "L[e1.e2]", "--family-b", "L[e3]",
-                "--max-order", "5")
-    code, out, _ = run(capsys, *freeness, "--depth", "9")
-    assert (code, out.replace("depth=9", "depth=10")) == run(capsys, *freeness)[:2]
-
-
-def test_depth_gates_the_built_degree(capsys):
+def test_depth_gates_the_built_degree(capsys, one_loop):
     # L*[l]L[l] is written with two letters and builds 1*L[@v], of degree
     # 0: building it needs depth 2, and its moments need no more.  The
     # automatic depth still scales with the written degree.
-    argv = ("moments", ONE_LOOP, "L*[l]L[l]")
-    code, out, _ = run(capsys, *argv, "--depth", "2")
+    code, out, _ = run(capsys, "moments", ONE_LOOP, "L*[l]L[l]")
     assert code == 0
-    assert out.splitlines()[0] == "moments of 1*L[@v]  [fock(depth=2)]"
+    assert out.splitlines()[0] == "moments of 1*L[@v]  [fock(depth=8)]"
     assert [row.split() for row in out.splitlines()[3:]] == [
         [str(n), "1*L[@v]"] for n in range(1, 5)
     ]
-    code, _, err = run(capsys, *argv, "--depth", "1")
-    assert code == 1
-    assert json.loads(err)["error"] == {
-        "code": "depth-insufficient", "message": "truncation depth 1 insufficient,"
-        " need at least 2", "required": 2, "depth": 1,
-    }
-    assert "[fock(depth=8)]" in run(capsys, *argv)[1]
-    # A depth that cannot build the elements names one that covers the
-    # work too: 4 for a:l to order 4, not the 1 that building needs.
-    code, _, err = run(capsys, "moments", ONE_LOOP, "a:l", "--depth", "0")
-    assert code == 1 and json.loads(err)["error"]["required"] == 4
+    ast = parse_element_ast("L*[l]L[l]")
+    a = build_element(one_loop, Backend.fock(2), ast)
+    assert [str(m) for m in a.moments(4)] == ["1*L[@v]"] * 4
+    with pytest.raises(DepthError) as err:
+        build_element(one_loop, Backend.fock(1), ast)
+    assert (err.value.required, err.value.depth) == (2, 1)
 
 
 def test_error_payload_bytes(tmp_path, capsys):
@@ -423,9 +403,6 @@ def test_error_payload_bytes(tmp_path, capsys):
         (("validate", str(bad)),
          '{"error": {"code": "graph-syntax", "message": "line 2, column 1: malformed edge line",'
          ' "line": 2, "column": 1}}\n'),
-        (("moments", ONE_LOOP, "a:l", "--max-order", "4", "--depth", "2"),
-         '{"error": {"code": "depth-insufficient", "message": "truncation depth 2 insufficient,'
-         ' need at least 4", "required": 4, "depth": 2}}\n'),
         (("moments", ONE_LOOP, "a:q"),
          '{"error": {"code": "domain-error", "message": "unknown edge: q"}}\n'),
         (("moments", ONE_LOOP, "L[l] + 3/0 L*[l]"),
@@ -434,14 +411,33 @@ def test_error_payload_bytes(tmp_path, capsys):
     )
     for argv, want in cases:
         assert run(capsys, *argv) == (1, "", want)
-
-
-def test_axiomatic_rejects_depth_flag(capsys):
-    code, _, err = run(
-        capsys, "moments", ONE_LOOP, "a:l", "--backend", "axiomatic", "--depth", "4"
+    # No command line runs short of depth, so the library pins this shape.
+    assert json.dumps({"error": DepthError(4, 2).payload()}) == (
+        '{"error": {"code": "depth-insufficient", "message": "truncation depth 2 insufficient,'
+        ' need at least 4", "required": 4, "depth": 2}}'
     )
-    assert code == 1
-    assert "fock" in json.loads(err)["error"]["message"]
+
+
+def test_depth_option_is_a_usage_error(capsys):
+    # The fock depth is worked out from the request; no option sets it.
+    for command in ("moments", "cumulants", "check-semicircular", "check-rdiagonal",
+                    "check-freeness", "audit"):
+        argv = [command, ONE_LOOP]
+        for name, spec in cli._arguments(command)[1:]:
+            if not name.startswith("-"):
+                argv.append("l" if name == "word" else "a:l")
+            elif spec.get("required"):
+                argv += [name, "L[l]"]
+        assert run(capsys, *argv)[0] == 0, argv
+        for depth in (["--depth", "4"], ["--depth=4"], ["--backend", "axiomatic", "--depth", "4"]):
+            code, out, err = run(capsys, *argv, *depth)
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --depth" in err, argv + depth
+            assert cli._parse_plain(argv + depth) is None
+            with pytest.raises(SystemExit) as exit_:
+                _argparse_parser().parse_args(argv + depth)
+            assert exit_.value.code == 2
+            capsys.readouterr()
 
 
 def test_bad_element_expression(capsys):
@@ -474,11 +470,11 @@ def test_word_argument_strips_ascii_whitespace_only(capsys):
 
 
 def test_request_faults_are_reported_in_a_fixed_order(capsys):
-    # Every expression's syntax, then its words, then the backend options.
+    # Every expression's syntax, then its words, then element construction.
     def error(family_a, family_b):
         code, out, err = run(
             capsys, "check-freeness", ONE_LOOP, "--family-a", family_a, "--family-b", family_b,
-            "--backend", "axiomatic", "--depth", "4",
+            "--backend", "axiomatic",
         )
         assert (code, out) == (1, "")
         return json.loads(err)["error"]
@@ -486,7 +482,7 @@ def test_request_faults_are_reported_in_a_fixed_order(capsys):
     steps = (
         ("L[q]", "L[l] 2", "bad element syntax at position 5: '2'"),
         ("L[q]", "L[l] + 2", "unknown edge: q"),
-        ("L[l]", "L[l] + 2", "depth applies to the fock backend"),
+        ("L[l]", "a:@v", "a:@v needs a path word, not a vertex"),
     )
     for family_a, family_b, message in steps:
         assert error(family_a, family_b) == {"code": "domain-error", "message": message}
@@ -553,14 +549,14 @@ def test_plain_parse_takes_well_formed_lines():
     for argv in (
         ["moments", "g.graph", "a:l", "--max-order", "8", "--format", "json"],
         ["check-freeness", "g.graph", "--family-a", "L[e1]", "--family-b", "L[e2]",
-         "--family-b", "L[e3]", "--depth", "5", "--backend", "fock"],
+         "--family-b", "L[e3]", "--backend", "fock"],
         ["audit", "g.graph", "--backend", "both"],
     ):
         plain = cli._parse_plain(argv)
         assert plain is not None and vars(plain) == vars(_argparse_parser().parse_args(argv))
     for argv in (["moments", "g.graph", "a:l", "--max-o", "8"], ["paths", "g.graph", "-h"],
                  ["paths", "g.graph", "--max-len=2"], ["paths", "--", "g.graph"],
-                 ["audit", "g.graph", "--depth", "-1"], ["cumulants", "g.graph"]):
+                 ["paths", "g.graph", "--max-len", "-1"], ["cumulants", "g.graph"]):
         assert cli._parse_plain(argv) is None
 
 
@@ -719,8 +715,6 @@ BOUND_FAULTS = (
      "R-diagonality needs max order at least 2"),
     (("paths", ONE_LOOP, "--max-len", "-1"), "max length must be nonnegative"),
     (("decompose", ONE_LOOP, "--loop-bound", "0"), "loop length bound must be positive"),
-    (("audit", ONE_LOOP, "--backend", "axiomatic", "--depth", "4"),
-     "depth applies to the fock backend"),
 )
 
 
@@ -731,10 +725,23 @@ def test_request_bounds_are_domain_errors(capsys):
         ), argv
 
 
+def test_path_enumeration_over_the_limit_is_arity_bound(capsys):
+    # bouquet3 has 3^n words of length n: counting stops at length 11, the
+    # first whose words and letters pass the limit, and no word is built.
+    bouquet3 = str(fixture_path("bouquet3"))
+    payload = {"error": {"code": "arity-bound", "message": "265720 words with 2790066 letters"
+                         " up to length 11 exceed the path enumeration limit 1000000"}}
+    for argv in (("paths", bouquet3, "--max-len", "20"),
+                 ("decompose", bouquet3, "--loop-bound", "20")):
+        assert run(capsys, *argv) == (1, "", json.dumps(payload) + "\n")
+
+
 def test_missing_graph_file_is_reported_before_the_request(tmp_path, capsys):
-    # Every command, with a request fault after a graph file that is not there.
+    # Every command, with a request fault after a graph file that is not
+    # there; validate and audit have no request fault.
     missing = str(tmp_path / "no_such.graph")
-    cases = [("validate", missing)] + [(argv[0], missing, *argv[2:]) for argv, _ in BOUND_FAULTS]
+    cases = [("validate", missing), ("audit", missing)]
+    cases += [(argv[0], missing, *argv[2:]) for argv, _ in BOUND_FAULTS]
     assert {argv[0] for argv in cases} == set(cli._COMMANDS)
     for argv in cases:
         message = _file_error(capsys, *argv)

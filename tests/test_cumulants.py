@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,43 @@ def test_brackets_evaluate_the_order_asked_for(one_loop, capsys):
     assert main(argv) == 0
     row = json.loads(capsys.readouterr().out)["cumulants"][-1]
     assert row == to_json(SeriesTerm(10, k10))
+
+
+def _edge_law(graph, backend, e, pattern):
+    """The closed form of k_n over L[e] ("a") and L*[e] ("a*"): on fock,
+    and on axiomatic where e is not its vertex's sole exit, only
+    k_2(L*[e], L[e]) = P_final(e) is nonzero.  At a sole exit, L[e] is a
+    partial isometry: an alternating tuple of length 2m has the bracket
+    (-1)^(m-1) Catalan(m-1), at e's initial vertex when it starts with a
+    and at its final vertex when it starts with a*."""
+    alternating = len(pattern) % 2 == 0 and all(x != y for x, y in zip(pattern, pattern[1:]))
+    at = e.initial if pattern[0] == "a" else e.final
+    if backend.kind == "axiomatic" and e.id in graph.sole_exits:
+        if not alternating:
+            return DiagonalElement.zero(graph)
+        m = len(pattern) // 2
+        return DiagonalElement.vertex_unit(graph, at, (-1) ** (m - 1) * comb(2 * m - 2, m - 1) // m)
+    if pattern == ("a*", "a"):
+        return DiagonalElement.vertex_unit(graph, e.final)
+    return DiagonalElement.zero(graph)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_edge_brackets_follow_the_edge_law(name):
+    """Every bracket over {L[e], L*[e]} to order 6, for every edge of the
+    fixture on both backends, against ``_edge_law``: the law of the
+    building block W*({L_e}, D_G) of the free product decomposition."""
+    g = load_fixture(name)
+    for backend in (AX, Backend.fock(6)):
+        for e in g.edges:
+            word = parse_word(g, e.id)
+            sides = {"a": AlgebraElement.generator(g, backend, word),
+                     "a*": AlgebraElement.generator(g, backend, word, starred=True)}
+            f = CumulantFunctional()
+            for n in range(1, 7):
+                for pattern in itertools.product(sides, repeat=n):
+                    got = f.valuation(tuple(sides[x] for x in pattern))
+                    assert got == _edge_law(g, backend, e, pattern), (backend, e.id, pattern)
 
 
 def test_cumulant_series_is_each_order_bracket(one_loop):

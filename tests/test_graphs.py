@@ -14,6 +14,8 @@ from graphprob import (
     parse_word,
     primitive_root,
 )
+from graphprob import graphs as graph_module
+from graphprob.errors import ArityBoundError
 from graphprob.graphs import classify_edges, strip_prefix
 
 from .strategies import graphs, words
@@ -193,6 +195,27 @@ def test_enumerate_paths_order_is_stable(c3):
 def test_enumerate_paths_rejects_negative(c3):
     with pytest.raises(DomainError):
         enumerate_paths(c3, -1)
+
+
+def test_enumerate_paths_counts_before_it_builds(graphs, monkeypatch):
+    # A word of length n costs n + 1.  bouquet3 has 1 + 3 + 9 words up to
+    # length 2, costing 1 + 6 + 27 = 34, and 40 words with 102 letters up
+    # to length 3.  Counting stops at the first empty level, so
+    # single_edge takes any length; one_loop's cost grows as n^2 / 2.
+    monkeypatch.setattr(graph_module, "PATH_ENUMERATION_LIMIT", 34)
+    assert len(enumerate_paths(graphs["bouquet3"], 2)) == 13
+    with pytest.raises(ArityBoundError) as err:
+        enumerate_paths(graphs["bouquet3"], 3)
+    assert str(err.value) == (
+        "40 words with 102 letters up to length 3 exceed the path enumeration limit 34"
+    )
+    assert len(enumerate_paths(graphs["single_edge"], 10**9)) == 3
+    assert len(enumerate_paths(graphs["one_loop"], 6)) == 7
+    with pytest.raises(ArityBoundError) as err:
+        enumerate_paths(graphs["one_loop"], 10**9)
+    assert str(err.value) == (
+        "8 words with 28 letters up to length 7 exceed the path enumeration limit 34"
+    )
 
 
 # ---- loop structure ----
