@@ -125,13 +125,14 @@ def _alternating(pattern: tuple[str, ...]) -> bool:
     return all(pattern[i] != pattern[i + 1] for i in range(len(pattern) - 1))
 
 
-def check_r_diagonal(
-    graph: Graph, backend: Backend, word: PathWord, max_order: int
-) -> RDiagonalReport:
-    """Scan every bracket over {L[w], L*[w]} up to max_order; R-diagonal
-    means nonzero brackets occur only on even alternating patterns."""
+def check_r_diagonal(graph: Graph, kind: str, word: PathWord, max_order: int) -> RDiagonalReport:
+    """Scan every bracket over {L[w], L*[w]} up to max_order on the
+    backend of that kind; R-diagonal means nonzero brackets occur only on
+    even alternating patterns.  On fock the depth is ``|w| * max_order``,
+    the degree bound the scan's tuples reach."""
     if word.is_vertex:
         raise DomainError("R-diagonality concerns path generators, not vertices")
+    backend = Backend.of(kind, word.length * max_order)
     c = AlgebraElement.generator(graph, backend, word)
     s = AlgebraElement.generator(graph, backend, word, starred=True)
     # Each family's adjoint closure is {a, a*}, so every tuple is mixed.

@@ -18,8 +18,10 @@ table is ``records.format_table``, so only ``decompose`` loads
 ``_COMMANDS`` directly; argparse is imported only for help and usage
 errors (``_parse_plain``).
 
-No option sets the fock depth: each command works it out from its
-request (``_prepare``), as the degree bound of the products it forms.
+No option sets the fock depth.  A command that parses expressions works
+it out from them (``_prepare``), as the degree bound of the products it
+forms; ``check-rdiagonal`` and ``audit`` pass a kind to their checks,
+which choose it.
 """
 
 from __future__ import annotations
@@ -138,29 +140,23 @@ def _load_graph(path: str) -> Graph:
         raise DomainError(f"cannot read graph file: {exc}") from None
 
 
-def _make_backend(kind: str, depth: int) -> Backend:
-    """The backend of that kind, fock at ``depth``: the degree bound the
-    command works out from its request."""
-    from .operators import Backend
-
-    return Backend.axiomatic() if kind == "axiomatic" else Backend.fock(depth)
-
-
 def _prepare(args, graph: Graph, families, min_order: int, message: str):
     """The backend and the elements a command works on, given one list
     of expressions per family; the elements come back in one list.
 
-    The fock depth is the largest written degree (``ast_degree``) times
-    the max order, at least the order.  No product the command forms is
-    longer, so the library's depth gates pass.  Faults are reported in a
-    fixed order: graph file (read by ``main``), order, expression syntax,
-    words, element construction.
+    The fock depth, the command line's one depth rule, is the largest
+    written degree (``ast_degree``) times the max order, at least the
+    order.  No product the command forms is longer, so the library's depth
+    gates pass.  Faults are reported in a fixed order: graph file (read by
+    ``main``), order, expression syntax, words, element construction.
     """
+    from .operators import Backend
+
     if args.max_order < min_order:
         raise DomainError(message)
     asts = [[parse_element_ast(text) for text in family] for family in families]
     written = max(ast_degree(graph, ast) for family in asts for ast in family)
-    backend = _make_backend(args.backend, max(1, written) * args.max_order)
+    backend = Backend.of(args.backend, max(1, written) * args.max_order)
     return backend, [build_element(graph, backend, ast) for family in asts for ast in family]
 
 
@@ -262,9 +258,7 @@ def cmd_check_rdiagonal(args, graph: Graph):
 
     if args.max_order < 2:
         raise DomainError("R-diagonality needs max order at least 2")
-    word = parse_word(graph, args.word)
-    backend = _make_backend(args.backend, max(1, word.length) * args.max_order)
-    report = check_r_diagonal(graph, backend, word, args.max_order)
+    report = check_r_diagonal(graph, args.backend, parse_word(graph, args.word), args.max_order)
     return report.to_text, report.to_json_dict
 
 
@@ -280,10 +274,10 @@ def cmd_check_freeness(args, graph: Graph):
 
 
 def cmd_audit(args, graph: Graph):
-    from .audit import AUDIT_DEPTHS, claims_audit
+    from .audit import claims_audit
 
     kinds = ("axiomatic", "fock") if args.backend == "both" else (args.backend,)
-    report = claims_audit(graph, [_make_backend(k, max(AUDIT_DEPTHS.values())) for k in kinds])
+    report = claims_audit(graph, kinds)
     return report.to_text, report.to_json_dict
 
 
@@ -346,6 +340,7 @@ def _parser():
         p = sub.add_parser(command, help=summary)
         for name, options in _arguments(command):
             p.add_argument(name, **options)
+    parser.commands = sub.choices  # each command's own parser, for its usage errors
     return parser
 
 
@@ -401,7 +396,11 @@ def main(argv=None) -> int:
     args = _parse_plain(argv)
     if args is None:
         try:
-            args = _parser().parse_args(argv)
+            parser = _parser()
+            args, extra = parser.parse_known_args(argv)
+            if extra:  # the command's usage, unless a token precedes the command's name
+                at = parser.commands[args.command] if argv[0] == args.command else parser
+                at.error("unrecognized arguments: " + " ".join(extra))
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -73,6 +73,11 @@ class Backend(Record):
     def fock(cls, depth: int) -> "Backend":
         return cls(FOCK, depth)
 
+    @classmethod
+    def of(cls, kind: str, depth: int) -> "Backend":
+        """The backend of that kind, at ``depth`` if it is fock."""
+        return cls(kind, depth if kind == FOCK else 0)
+
     @property
     def is_fock(self) -> bool:
         return self.kind == FOCK

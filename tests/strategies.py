@@ -50,11 +50,12 @@ def symbols(draw, graph: Graph, max_len: int = 2):
 
 
 @st.composite
-def generator_words(draw, graph: Graph, max_symbols: int = 5, max_len: int = 2):
+def generator_words(draw, graph: Graph, max_symbols: int = 5, max_len: int = 2,
+                    mirror: bool | None = None):
     """A composable generator word: each generator's range vertex (``initial``
     of ``L[w]``, ``final`` of ``L*[w]``) is the vertex the one before it
     leaves from.  About half the words are mirrored as ``w w*``, so they
-    are balanced."""
+    are balanced; ``mirror`` True or False fixes that choice."""
     paths = enumerate_paths(graph, max_len)
     at = draw(st.sampled_from(graph.vertices))
     word = []
@@ -65,7 +66,7 @@ def generator_words(draw, graph: Graph, max_symbols: int = 5, max_len: int = 2):
         ))
         word.append(s)
         at = s.word.initial if s.starred else s.word.final
-    if draw(st.booleans()):
+    if draw(st.booleans()) if mirror is None else mirror:
         word += [s.adjoint() for s in reversed(word)]
     return word
 

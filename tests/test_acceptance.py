@@ -180,7 +180,7 @@ def test_fock_relations(report):
                 for u in basis:
                     once = fock_apply(backend, proj, u)
                     assert apply_generator_word(backend, [proj, proj], u) == once
-            audit = claims_audit(graph, [Backend.axiomatic(), Backend.fock(8)])
+            audit = claims_audit(graph)
             rows = {r.id: r for r in audit.rows}
             # fock never identifies L[e]L*[e] with the vertex projection;
             # axiomatic does only where e is the sole edge out of its vertex
@@ -226,7 +226,7 @@ def test_semicircularity_one_loop(report):
                 assert val.is_zero
         rep = check_semicircular(a, 8)
         assert rep.verdict and rep.k2 == unit
-        audit = claims_audit(graph, [Backend.axiomatic(), fock])
+        audit = claims_audit(graph)
         rows = {r.id: r for r in audit.rows}
         assert rows["R2"].computed == {"axiomatic": "2*L[@v]", "fock": "1*L[@v]"}
         assert rows["R2"].verdict == "backend-dependent"
@@ -312,13 +312,13 @@ def test_r_diagonality_single_edge(report):
         unit1 = DiagonalElement.vertex_unit(graph, "v1")
         unit2 = DiagonalElement.vertex_unit(graph, "v2")
 
-        fock = check_r_diagonal(graph, Backend.fock(8), w, 6)
+        fock = check_r_diagonal(graph, "fock", w, 6)
         assert {(f.order, f.pattern): f.value for f in fock.nonzero} == {
             (2, ("a*", "a")): unit2
         }
         assert fock.verdict
 
-        ax = check_r_diagonal(graph, Backend.axiomatic(), w, 6)
+        ax = check_r_diagonal(graph, "axiomatic", w, 6)
         found = {(f.order, f.pattern): f.value for f in ax.nonzero}
         expected = {}
         for m in (1, 2, 3):

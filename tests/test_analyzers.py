@@ -72,13 +72,13 @@ def test_build_semicircular_system(graphs):
 
 def test_r_diagonal_single_edge(single_edge):
     e = parse_word(single_edge, "e")
-    rep_fk = check_r_diagonal(single_edge, Backend.fock(6), e, 6)
+    rep_fk = check_r_diagonal(single_edge, "fock", e, 6)
     assert rep_fk.verdict
     assert [(f.order, f.pattern, str(f.value)) for f in rep_fk.nonzero] == [
         (2, ("a*", "a"), "1*L[@v2]")
     ]
 
-    rep_ax = check_r_diagonal(single_edge, AX, e, 6)
+    rep_ax = check_r_diagonal(single_edge, "axiomatic", e, 6)
     assert rep_ax.verdict
     got = {(f.order, f.pattern): str(f.value) for f in rep_ax.nonzero}
     assert got[(2, ("a", "a*"))] == "1*L[@v1]"
@@ -91,12 +91,12 @@ def test_r_diagonal_rejects_vertex(single_edge):
     from graphprob import PathWord
 
     with pytest.raises(DomainError):
-        check_r_diagonal(single_edge, AX, PathWord.vertex(single_edge, "v1"), 4)
+        check_r_diagonal(single_edge, "axiomatic", PathWord.vertex(single_edge, "v1"), 4)
 
 
 def test_r_diagonal_longer_word(c3):
     w = parse_word(c3, "e1.e2")
-    rep = check_r_diagonal(c3, Backend.fock(8), w, 4)
+    rep = check_r_diagonal(c3, "fock", w, 4)
     assert rep.verdict
     assert [(f.order, f.pattern) for f in rep.nonzero] == [(2, ("a*", "a"))]
 
@@ -151,7 +151,6 @@ def test_library_checks_name_the_depth_of_the_whole_call(one_loop, c3):
             lambda: check_semicircular(a, 6),
             lambda: mixed_cumulant_scan([g], [g_star], 6),
             lambda: check_freeness([g], [g_star], 6),
-            lambda: check_r_diagonal(one_loop, backend, l, 6),
         ]
 
     def c3_calls(backend):
@@ -181,7 +180,7 @@ def test_depth_error_names_a_depth_that_works(graphs):
     """Every entry point a command calls, at a depth too small for it: the
     DepthError names that depth and a required one at which the same call
     runs.  A mixed tuple of families of degrees 2 and 1 at order 5 needs
-    4 x 2 + 1 = 9; the audit needs 6 with a loop edge, else 2."""
+    4 x 2 + 1 = 9."""
     from graphprob import DepthError
     from graphprob.cli import parse_element
     from graphprob.cumulants import cumulant_series
@@ -189,16 +188,12 @@ def test_depth_error_names_a_depth_that_works(graphs):
     def el(name, text, backend):
         return parse_element(graphs[name], backend, text)
 
-    c3 = graphs["c3"]
     cases = (
         (lambda b: el("one_loop", "a:l", b).moments(4), 2, 4),
         (lambda b: el("bouquet3", "a:l1.l2 + a:l3", b).moments(5), 9, 10),
         (lambda b: cumulant_series(el("one_loop", "a:l", b), 4), 1, 4),
         (lambda b: check_semicircular(el("bouquet3", "a:l1 + a:l2", b), 4), 3, 4),
         (lambda b: check_freeness([el("c3", "L[e1.e2]", b)], [el("c3", "L[e3]", b)], 5), 2, 9),
-        (lambda b: check_r_diagonal(c3, b, parse_word(c3, "e1.e2"), 5), 6, 10),
-        (lambda b: claims_audit(graphs["lollipop"], [b]), 2, 6),
-        (lambda b: claims_audit(graphs["single_edge"], [b]), 1, 2),
     )
     for call, depth, required in cases:
         with pytest.raises(DepthError) as err:
@@ -255,7 +250,7 @@ def test_decompose_rejects_bad_bound(c3):
 
 
 def _audit(graph):
-    return claims_audit(graph, [AX, Backend.fock(8)])
+    return claims_audit(graph)
 
 
 def test_audit_one_loop_rows(one_loop):
@@ -284,7 +279,7 @@ def test_audit_single_edge_rows(single_edge):
 
 
 def test_audit_single_backend(one_loop):
-    rep = claims_audit(one_loop, [AX])
+    rep = claims_audit(one_loop, ["axiomatic"])
     assert rep.backends == ("axiomatic",)
     by_id = {r.id: r for r in rep.rows}
     assert by_id["R2"].verdict == "match"
@@ -295,9 +290,79 @@ def test_audit_single_backend(one_loop):
 
 def test_audit_rejects_duplicate_kinds(one_loop):
     with pytest.raises(DomainError):
-        claims_audit(one_loop, [Backend.fock(4), Backend.fock(6)])
+        claims_audit(one_loop, ["fock", "fock"])
 
 
 def test_audit_text_renders(one_loop):
     text = _audit(one_loop).to_text()
     assert "R3" in text and "backend-dependent" in text
+
+
+# ---- the checks' own backends ----
+
+
+def test_r_diagonal_takes_the_depth_its_scan_needs(graphs):
+    """check_r_diagonal builds its backend from a kind: on fock at
+    |w| x max_order, the degree of its longest tuples, and one level less
+    stops the same scan."""
+    from graphprob import DepthError, enumerate_paths
+    from graphprob.cumulants import mixed_cumulant_scan
+
+    for g in graphs.values():
+        for w in enumerate_paths(g, 2):
+            if w.is_vertex:
+                continue
+            for n in range(2, 7):
+                depth = w.length * n
+                assert check_r_diagonal(g, "fock", w, n).backend == f"fock(depth={depth})"
+                short = Backend.fock(depth - 1)
+                pair = [AlgebraElement.generator(g, short, w, starred=s) for s in (False, True)]
+                with pytest.raises(DepthError) as err:
+                    mixed_cumulant_scan(pair[:1], pair[1:], n)
+                assert err.value.required == depth
+
+
+def test_checks_reject_unknown_and_repeated_kinds(one_loop):
+    l = parse_word(one_loop, "l")
+    for kind in ("both", "Fock", AX):
+        with pytest.raises(DomainError, match="unknown backend kind"):
+            check_r_diagonal(one_loop, kind, l, 2)
+        with pytest.raises(DomainError, match="unknown backend kind"):
+            claims_audit(one_loop, [kind])
+    with pytest.raises(DomainError, match="one backend per kind"):
+        claims_audit(one_loop, ["axiomatic", "fock", "axiomatic"])
+
+
+def test_audit_evaluates_each_subject_once_per_backend(graphs, monkeypatch):
+    """One semicircularity check per backend reads the loop rows, and one
+    faithfulness probe the edge rows; the fock depth is 6 with a loop
+    edge and 2 without."""
+    import graphprob.audit as audit
+
+    calls = []
+
+    def counting(name):
+        real = getattr(audit, name)
+
+        def call(subject, *rest):
+            element = subject[0] if name == "faithfulness_probe" else subject
+            calls.append((name, str(element.backend)))
+            return real(subject, *rest)
+
+        monkeypatch.setattr(audit, name, call)
+
+    counting("check_semicircular")
+    counting("faithfulness_probe")
+    cases = (
+        ("one_loop", ("axiomatic", "fock"),
+         [("faithfulness_probe", "axiomatic"), ("check_semicircular", "axiomatic"),
+          ("faithfulness_probe", "fock(depth=6)"), ("check_semicircular", "fock(depth=6)")]),
+        ("lollipop", ("fock",),
+         [("faithfulness_probe", "fock(depth=6)"), ("check_semicircular", "fock(depth=6)")]),
+        ("c3", ("fock", "axiomatic"),
+         [("faithfulness_probe", "fock(depth=2)"), ("faithfulness_probe", "axiomatic")]),
+    )
+    for name, kinds, want in cases:
+        calls.clear()
+        assert claims_audit(graphs[name], kinds).backends == kinds
+        assert calls == want, name

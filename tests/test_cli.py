@@ -418,16 +418,41 @@ def test_error_payload_bytes(tmp_path, capsys):
     )
 
 
+def _well_formed(command):
+    """A command line of ``command`` on one_loop that exits 0."""
+    argv = [command, ONE_LOOP]
+    for name, spec in cli._arguments(command)[1:]:
+        if not name.startswith("-"):
+            argv.append("l" if name == "word" else "a:l")
+        elif spec.get("required"):
+            argv += [name, "L[l]"]
+    return argv
+
+
+def test_unrecognized_arguments_print_the_command_usage(capsys):
+    # Leftovers after a command name are reported by that command's parser;
+    # a leftover before the name by the root parser.
+    for command in cli._COMMANDS:
+        argv = _well_formed(command)
+        assert run(capsys, *argv)[0] == 0, argv
+        for extra in (["--bogus", "4"], ["--bogus=4"], ["surplus"], ["surplus", "--bogus"]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, out) == (2, ""), argv + extra
+            assert err.startswith(f"usage: graphprob {command} "), argv + extra
+            assert err.endswith(
+                f"graphprob {command}: error: unrecognized arguments: {' '.join(extra)}\n"
+            )
+        code, out, err = run(capsys, "--bogus", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: graphprob [-h]")
+        assert err.endswith("graphprob: error: unrecognized arguments: --bogus\n")
+
+
 def test_depth_option_is_a_usage_error(capsys):
     # The fock depth is worked out from the request; no option sets it.
     for command in ("moments", "cumulants", "check-semicircular", "check-rdiagonal",
                     "check-freeness", "audit"):
-        argv = [command, ONE_LOOP]
-        for name, spec in cli._arguments(command)[1:]:
-            if not name.startswith("-"):
-                argv.append("l" if name == "word" else "a:l")
-            elif spec.get("required"):
-                argv += [name, "L[l]"]
+        argv = _well_formed(command)
         assert run(capsys, *argv)[0] == 0, argv
         for depth in (["--depth", "4"], ["--depth=4"], ["--backend", "axiomatic", "--depth", "4"]):
             code, out, err = run(capsys, *argv, *depth)
