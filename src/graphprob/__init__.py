@@ -40,8 +40,7 @@ _MODULES = {
         "graphs",
     ),
     **dict.fromkeys(
-        ("AXIOMATIC", "FOCK", "Backend", "GeneratorSymbol", "Monomial", "reduce_word",
-         "required_depth"),
+        ("AXIOMATIC", "FOCK", "Backend", "Monomial", "reduce_word", "required_depth"),
         "operators",
     ),
     "Scalar": "scalars",

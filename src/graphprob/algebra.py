@@ -21,7 +21,7 @@ from numbers import Rational
 
 from .errors import BackendMismatchError, DomainError
 from .graphs import Graph, PathWord
-from .operators import Backend, GeneratorSymbol, Monomial, compose, reduce_word
+from .operators import Backend, Monomial, compose, reduce_word
 from .records import Record
 from .scalars import ONE, ZERO, Scalar
 
@@ -215,9 +215,7 @@ class AlgebraElement(Record):
 
     @classmethod
     def generator(cls, graph, backend, word: PathWord, starred: bool = False) -> "AlgebraElement":
-        m = reduce_word(backend, [GeneratorSymbol(word, starred)])
-        if m is None:
-            return cls.zero(graph, backend)
+        m = reduce_word(backend, [Monomial.generator(word, starred)])
         return cls.make(graph, backend, {m: ONE})
 
     @classmethod

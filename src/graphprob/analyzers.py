@@ -86,10 +86,12 @@ def check_semicircular(a: AlgebraElement, max_order: int) -> SemicircularReport:
     """Brackets k_n(a, ..., a) for n = 1..max_order; semicircular means
     the only nonzero bracket is the variance at order 2.  A fock depth
     below ``max_order * a.degree`` raises DepthError before any bracket."""
+    if max_order < 2:
+        raise DomainError("semicircularity needs max order at least 2")
     if not a.is_self_adjoint():
         raise DomainError("semicircularity check needs a self-adjoint element")
     values = cumulant_series(a, max_order)
-    k2 = values[1] if max_order >= 2 else DiagonalElement.zero(a.graph)
+    k2 = values[1]
     offenders = tuple(
         SeriesTerm(n, v) for n, v in enumerate(values, start=1) if n != 2 and not v.is_zero
     )
@@ -130,6 +132,8 @@ def check_r_diagonal(graph: Graph, kind: str, word: PathWord, max_order: int) ->
     backend of that kind; R-diagonal means nonzero brackets occur only on
     even alternating patterns.  On fock the depth is ``|w| * max_order``,
     the degree bound the scan's tuples reach."""
+    if max_order < 2:
+        raise DomainError("R-diagonality needs max order at least 2")
     if word.is_vertex:
         raise DomainError("R-diagonality concerns path generators, not vertices")
     backend = Backend.of(kind, word.length * max_order)

@@ -183,6 +183,8 @@ def cumulant_series(a: AlgebraElement, max_order: int) -> list[DiagonalElement]:
     """The brackets k_n(a, ..., a) for n = 1..max_order, from one
     functional whose memo the orders share.  A fock depth below
     ``max_order * a.degree`` raises DepthError before any bracket."""
+    if max_order < 1:
+        raise DomainError("max order must be positive")
     a.backend.gate(max_order * a.degree)
     f = CumulantFunctional()
     return [f.valuation((a,) * n) for n in range(1, max_order + 1)]
@@ -238,6 +240,8 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
     is pruned and every mixed tuple goes to ``valuation``, which grades
     it.  ``tuples_checked`` counts all mixed tuples, by closed form.
     """
+    if max_order < 1:
+        raise DomainError("max order must be positive")
     closed_a = _adjoint_closure(family_a)
     closed_b = _adjoint_closure(family_b)
     labels = dict(labels or {})

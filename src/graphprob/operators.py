@@ -1,14 +1,17 @@
 """Generator words and their two-sided normal forms.
 
-Every word over ``{L[w], L*[w]}`` reduces to one normal form ``L[p]L*[q]``
-or to zero by one engine: ``compose`` multiplies normal forms as partial
-maps on the path space, and the backend's normal-form step follows each
-product.  The axiomatic backend there cancels a shared final edge,
-``L[pe]L*[qe] -> L[p]L*[q]``, only where ``e`` is the sole edge out of
-its initial vertex; the fock backend never cancels, so ``L[c]L*[c]``
-stays the projection onto paths with prefix ``c``.  The fock depth
-changes no value: it is a gate that raises DepthError on longer words.
-``fock_apply`` and ``apply_generator_word`` are the reference action on
+A generator ``L[w]`` or ``L*[w]`` is the one-sided normal form
+``L[w]L*[@final]`` or ``L[@final]L*[w]`` (``Monomial.generator``), so a
+word over ``{L[w], L*[w]}`` is a product of normal forms.  It reduces to
+one normal form ``L[p]L*[q]`` or to zero by one engine: ``compose``
+multiplies normal forms as partial maps on the path space, and the
+backend's normal-form step follows each product.  The axiomatic backend
+there cancels a shared final edge, ``L[pe]L*[qe] -> L[p]L*[q]``, only
+where ``e`` is the sole edge out of its initial vertex; the fock backend
+never cancels, so ``L[c]L*[c]`` stays the projection onto paths with
+prefix ``c``.  The fock depth changes no value: it is a gate that raises
+DepthError on longer words.  ``fock_apply`` (one normal form) and
+``apply_generator_word`` (a product of them) are the reference action on
 basis vectors.
 """
 
@@ -91,30 +94,14 @@ class Backend(Record):
         return {"kind": self.kind, "depth": self.depth} if self.is_fock else {"kind": self.kind}
 
 
-class GeneratorSymbol(Record):
-    """One letter L[w] or L*[w]; vertex generators are self-adjoint."""
-
-    word: PathWord
-    starred: bool = False
-
-    def __post_init__(self):
-        if self.word.is_vertex and self.starred:
-            object.__setattr__(self, "starred", False)
-
-    def adjoint(self) -> "GeneratorSymbol":
-        return GeneratorSymbol(self.word, not self.starred)
-
-    def __str__(self) -> str:
-        return f"L*[{self.word}]" if self.starred else f"L[{self.word}]"
-
-
 class Monomial(Record):
     """Normal form L[p]L*[q]; p and q must end at the same vertex.
 
-    As a partial map on basis words it strips the prefix q and glues the
-    prefix p.  Creation operators are the case q a vertex word,
-    annihilation operators the case p a vertex word, and vertex
-    projections the case p = q a vertex word.
+    As a partial map on basis words (``fock_apply``) it strips the prefix
+    q and glues the prefix p.  Creation operators are the case q a vertex
+    word, annihilation operators the case p a vertex word, and vertex
+    projections the case p = q a vertex word; ``generator`` builds the
+    first two.
     """
 
     creation: PathWord
@@ -136,12 +123,12 @@ class Monomial(Record):
         return cls(w, w)
 
     @classmethod
-    def from_symbol(cls, symbol: GeneratorSymbol) -> "Monomial":
-        w = symbol.word
-        unit = PathWord.vertex(w.graph, w.final)
-        if symbol.starred:
-            return cls(unit, w)
-        return cls(w, unit)
+    def generator(cls, word: PathWord, starred: bool = False) -> "Monomial":
+        """The one-sided monomial of L[w] or L*[w]: L[w]L*[@final] or
+        L[@final]L*[w].  A vertex word gives its projection either way,
+        so L*[@v] is L[@v]."""
+        unit = PathWord.vertex(word.graph, word.final)
+        return cls(unit, word) if starred else cls(word, unit)
 
     @property
     def graph(self) -> Graph:
@@ -230,62 +217,62 @@ def cancel_final_segment(m: Monomial) -> Monomial:
     return Monomial(p, q)
 
 
-def required_depth(symbols: Sequence[GeneratorSymbol]) -> int:
+def required_depth(monomials: Iterable[Monomial]) -> int:
     """Minimal fock depth for exact evaluation on all vertex vectors."""
-    return sum(s.word.length for s in symbols)
+    return sum(m.degree for m in monomials)
 
 
-def reduce_word(backend: Backend, symbols: Sequence[GeneratorSymbol]) -> Monomial | None:
-    """Normal form of a generator word, or None for the zero operator.
+def reduce_word(backend: Backend, monomials: Sequence[Monomial]) -> Monomial | None:
+    """Normal form of a product of normal forms, or None for the zero operator.
 
-    The symbols' monomials are composed left to right, with the
-    backend's normal-form step after each product.  On fock the result
-    is the unique monomial inducing the word's action on basis vectors,
-    and the depth must cover the word's total edge length, otherwise
-    DepthError.
+    A generator word is the product of its letters' one-sided monomials
+    (``Monomial.generator``).  ``compose`` folds over the monomials left
+    to right, starting from the first, with the backend's normal-form
+    step after each product.  On fock the result is the unique monomial
+    inducing the product's action on basis vectors, and the depth must
+    cover the total degree, otherwise DepthError.
     """
-    symbols = list(symbols)
-    if not symbols:
+    monomials = list(monomials)
+    if not monomials:
         raise DomainError("empty generator word has no single normal form")
-    g = symbols[0].word.graph
-    for s in symbols[1:]:
-        if s.word.graph != g:
-            raise DomainError("mixed-graph generator word")
-    backend.gate(required_depth(symbols))
-    acc = Monomial.from_symbol(symbols[0])
-    for s in symbols[1:]:
-        nxt = compose(acc, Monomial.from_symbol(s))
-        if nxt is None:
+    g = monomials[0].graph
+    if any(m.graph != g for m in monomials[1:]):
+        raise DomainError("mixed-graph generator word")
+    backend.gate(required_depth(monomials))
+    acc = monomials[0]
+    for m in monomials[1:]:
+        acc = compose(acc, m)
+        if acc is None:
             return None
-        acc = backend.normal_form(nxt)
+        acc = backend.normal_form(acc)
     return acc
 
 
-def fock_apply(backend: Backend, symbol: GeneratorSymbol, basis: PathWord) -> PathWord | None:
-    """Action of one generator on one basis word; None is the zero vector.
+def fock_apply(backend: Backend, m: Monomial, basis: PathWord) -> PathWord | None:
+    """Action of L[p]L*[q] on one basis word; None is the zero vector.
 
-    Unstarred generators glue their word in front when admissible and the
-    image still fits the depth; starred generators strip their word as a
-    prefix.  A basis vector beyond the depth is an error, not a zero.
+    It strips the prefix q, then glues p in front, and gives zero when q
+    is no prefix or the image is longer than the depth.  A basis vector
+    beyond the depth is an error, not a zero.
     """
     if not backend.is_fock:
         raise DomainError("basis action requires the fock backend")
     backend.gate(basis.length)
-    if symbol.starred:
-        return strip_prefix(symbol.word, basis)
-    image = concat(symbol.word, basis)
-    if image is None or image.length > backend.depth:
+    rest = strip_prefix(m.annihilation, basis)
+    if rest is None:
         return None
-    return image
+    # rest starts where q ends, which is where p ends.
+    image = concat(m.creation, rest)
+    return image if image.length <= backend.depth else None
 
 
 def apply_generator_word(
-    backend: Backend, symbols: Iterable[GeneratorSymbol], basis: PathWord
+    backend: Backend, monomials: Iterable[Monomial], basis: PathWord
 ) -> PathWord | None:
-    """Apply a product of generators to a basis vector, rightmost first."""
+    """Apply a product of monomials to a basis vector, rightmost first."""
     vec = basis
-    for s in reversed(list(symbols)):
-        vec = fock_apply(backend, s, vec)
+    for m in reversed(list(monomials)):
+        vec = fock_apply(backend, m, vec)
         if vec is None:
             return None
     return vec

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from graphprob import AlgebraElement, Backend, Edge, Graph, PathWord, enumerate_paths
-from graphprob.operators import GeneratorSymbol
+from graphprob import AlgebraElement, Backend, Edge, Graph, Monomial, PathWord, enumerate_paths
 
 
 @st.composite
@@ -43,31 +42,42 @@ def words(draw, graph: Graph, max_len: int = 3, allow_vertex: bool = True):
 
 
 @st.composite
-def symbols(draw, graph: Graph, max_len: int = 2):
+def generators(draw, graph: Graph, max_len: int = 2):
+    """One letter L[w] or L*[w], as its one-sided monomial."""
     w = draw(words(graph, max_len=max_len))
     starred = draw(st.booleans())
-    return GeneratorSymbol(w, starred)
+    return Monomial.generator(w, starred)
+
+
+def read_letter(m: Monomial) -> tuple[PathWord, bool]:
+    """A one-sided monomial read as a letter: its side that is not a
+    vertex word, and whether that is the annihilation side (L*[w]).  A
+    vertex projection reads as its unstarred vertex word."""
+    if m.annihilation.is_vertex:
+        return m.creation, False
+    return m.annihilation, True
 
 
 @st.composite
 def generator_words(draw, graph: Graph, max_symbols: int = 5, max_len: int = 2,
                     mirror: bool | None = None):
-    """A composable generator word: each generator's range vertex (``initial``
-    of ``L[w]``, ``final`` of ``L*[w]``) is the vertex the one before it
-    leaves from.  About half the words are mirrored as ``w w*``, so they
-    are balanced; ``mirror`` True or False fixes that choice."""
+    """A composable generator word, as one-sided monomials: each one's
+    range vertex (``initial`` of ``L[w]``, ``final`` of ``L*[w]``) is the
+    vertex the one before it leaves from.  About half the words are
+    mirrored as ``w w*``, so they are balanced; ``mirror`` True or False
+    fixes that choice."""
     paths = enumerate_paths(graph, max_len)
     at = draw(st.sampled_from(graph.vertices))
     word = []
     for _ in range(draw(st.integers(1, max_symbols))):
-        s = draw(st.sampled_from(
-            [GeneratorSymbol(p) for p in paths if p.initial == at]
-            + [GeneratorSymbol(p, True) for p in paths if p.final == at and not p.is_vertex]
+        m = draw(st.sampled_from(
+            [Monomial.generator(p) for p in paths if p.initial == at]
+            + [Monomial.generator(p, True) for p in paths if p.final == at and not p.is_vertex]
         ))
-        word.append(s)
-        at = s.word.initial if s.starred else s.word.final
+        word.append(m)
+        at = m.annihilation.initial
     if draw(st.booleans()) if mirror is None else mirror:
-        word += [s.adjoint() for s in reversed(word)]
+        word += [m.adjoint() for m in reversed(word)]
     return word
 
 

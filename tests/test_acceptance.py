@@ -27,7 +27,7 @@ from graphprob import (
     Backend,
     CumulantFunctional,
     DiagonalElement,
-    GeneratorSymbol,
+    Monomial,
     PairSource,
     PathWord,
     check_freeness,
@@ -157,10 +157,10 @@ def test_fock_relations(report):
             for w in basis:
                 if w.is_vertex:
                     continue
-                sym = GeneratorSymbol(w)
-                star = GeneratorSymbol(w, True)
-                head = GeneratorSymbol(PathWord.vertex(graph, w.initial))
-                tail = GeneratorSymbol(PathWord.vertex(graph, w.final))
+                sym = Monomial.generator(w)
+                star = Monomial.generator(w, True)
+                head = Monomial.generator(PathWord.vertex(graph, w.initial))
+                tail = Monomial.generator(PathWord.vertex(graph, w.final))
                 for u in basis:
                     image = fock_apply(backend, sym, u)
                     assert apply_generator_word(backend, [head, sym, tail], u) == image
@@ -175,8 +175,8 @@ def test_fock_relations(report):
                 assert fock_apply(backend, head, vac) == vac
             for v in graph.vertices:
                 vw = PathWord.vertex(graph, v)
-                proj = GeneratorSymbol(vw)
-                assert GeneratorSymbol(vw, True) == proj
+                proj = Monomial.generator(vw)
+                assert Monomial.generator(vw, True) == proj
                 for u in basis:
                     once = fock_apply(backend, proj, u)
                     assert apply_generator_word(backend, [proj, proj], u) == once
@@ -201,7 +201,7 @@ def test_semicircularity_one_loop(report):
                 # brute force over the 2^n sign words of (L + L*)^n
                 counted = 0
                 for pattern in itertools.product((False, True), repeat=n):
-                    syms = [GeneratorSymbol(loop, s) for s in pattern]
+                    syms = [Monomial.generator(loop, s) for s in pattern]
                     m = reduce_word(backend, syms)
                     if m is not None and m.is_vertex:
                         counted += 1
@@ -398,7 +398,7 @@ def test_nilpotency(report):
                 for backend in (Backend.axiomatic(), Backend.fock(6)):
                     gen = AlgebraElement.generator(graph, backend, w)
                     for k in range(2, 6):
-                        assert reduce_word(backend, [GeneratorSymbol(w)] * k) is None
+                        assert reduce_word(backend, [Monomial.generator(w)] * k) is None
                         assert gen.power(k).is_zero
 
     report("nilpotency", body)

@@ -366,3 +366,35 @@ def test_audit_evaluates_each_subject_once_per_backend(graphs, monkeypatch):
         calls.clear()
         assert claims_audit(graphs[name], kinds).backends == kinds
         assert calls == want, name
+
+
+# ---- order bounds ----
+
+
+def test_orders_below_the_minimum_are_rejected_first(c3, one_loop):
+    """Each check rejects an order below its minimum, at the bound minus
+    one and at -1, with the command line's message.  It does so before
+    any other check and before it builds a backend: the inputs below
+    would fail otherwise (an element that is not self-adjoint, a vertex
+    word, an unknown kind)."""
+    from graphprob import PathWord
+    from graphprob.cumulants import cumulant_series, mixed_cumulant_scan
+
+    a = AlgebraElement.generator(one_loop, Backend.fock(1), parse_word(one_loop, "l"))
+    e12 = parse_word(c3, "e1.e2")
+    v1 = PathWord.vertex(c3, "v1")
+    at_least_2 = "needs max order at least 2"
+    cases = [
+        (lambda n: check_semicircular(a, n), 2, f"semicircularity {at_least_2}"),
+        (lambda n: check_r_diagonal(c3, "fock", e12, n), 2, f"R-diagonality {at_least_2}"),
+        (lambda n: check_r_diagonal(c3, "axiomatic", e12, n), 2, f"R-diagonality {at_least_2}"),
+        (lambda n: check_r_diagonal(c3, "bogus", v1, n), 2, f"R-diagonality {at_least_2}"),
+        (lambda n: cumulant_series(a, n), 1, "max order must be positive"),
+        (lambda n: mixed_cumulant_scan([a], [a], n), 1, "max order must be positive"),
+        (lambda n: check_freeness([a], [a.adjoint()], n), 1, "max order must be positive"),
+    ]
+    for call, bound, message in cases:
+        for n in (bound - 1, -1):
+            with pytest.raises(DomainError) as err:
+                call(n)
+            assert (type(err.value), str(err.value)) == (DomainError, message), (message, n)

@@ -36,7 +36,7 @@ from graphprob.operators import free_product
 from graphprob.records import to_json
 
 from .conftest import FIXTURE_NAMES, fixture_path, load_fixture
-from .strategies import elements, generator_words, graphs
+from .strategies import elements, generator_words, graphs, read_letter
 
 AX = Backend.axiomatic()
 
@@ -180,16 +180,16 @@ class _LetterLaw:
         return DiagonalElement.zero(g) if value is None else value * scale
 
 
-def _letter_tags(symbols) -> list[str]:
+def _letter_tags(word) -> list[str]:
     """The letters a generator word spells: ``L[w]`` the edges of w in
     order, ``L*[w]`` them starred in reverse, a vertex word its ``P_v``."""
     tags = []
-    for s in symbols:
-        if s.word.is_vertex:
-            tags.append(f"@ {s.word.initial}")
+    for w, starred in map(read_letter, word):
+        if w.is_vertex:
+            tags.append(f"@ {w.initial}")
         else:
-            edges = reversed(s.word.edges) if s.starred else s.word.edges
-            tags += [f"{'a*' if s.starred else 'a'} {e}" for e in edges]
+            edges = reversed(w.edges) if starred else w.edges
+            tags += [f"{'a*' if starred else 'a'} {e}" for e in edges]
     return tags
 
 
@@ -219,8 +219,8 @@ def test_products_follow_krawczyk_speicher(name, data):
     consecutive pieces; the reference shares no code with the engine's
     moments, cuts or grading."""
     g = load_fixture(name)
-    symbols = data.draw(generator_words(g, max_symbols=2, max_len=2, mirror=True))
-    tags = _letter_tags(symbols)
+    word = data.draw(generator_words(g, max_symbols=2, max_len=2, mirror=True))
+    tags = _letter_tags(word)
     n = len(tags)
     pieces = data.draw(st.integers(2, min(4, n)))
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=pieces - 1,

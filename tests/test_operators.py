@@ -10,7 +10,6 @@ from graphprob import (
     Backend,
     DepthError,
     DomainError,
-    GeneratorSymbol,
     Monomial,
     PathWord,
     enumerate_paths,
@@ -22,7 +21,7 @@ from graphprob.operators import apply_generator_word, cancel_final_segment, comp
 from graphprob.records import to_json
 
 from .conftest import FIXTURE_NAMES, load_fixture
-from .strategies import generator_words, graphs, symbols
+from .strategies import generator_words, generators, graphs, read_letter
 
 
 # ---- backends ----
@@ -54,27 +53,39 @@ def test_backend_gate_and_normal_form(one_loop):
         fk.gate(3)
     assert (err.value.required, err.value.depth) == (3, 2)
     l, ll = parse_word(one_loop, "l"), parse_word(one_loop, "l.l")
-    assert ax.normal_form(Monomial(ll, l)) == Monomial.from_symbol(GeneratorSymbol(l))
+    assert ax.normal_form(Monomial(ll, l)) == Monomial.generator(l)
     assert fk.normal_form(Monomial(ll, l)) == Monomial(ll, l)
     with pytest.raises(DepthError) as err:
         fk.normal_form(Monomial(parse_word(one_loop, "l.l.l"), l))
     assert (err.value.required, err.value.depth) == (3, 2)
 
 
-# ---- symbols and monomials ----
+# ---- generators and monomials ----
 
 
 def test_vertex_symbol_is_self_adjoint(c3):
     v = PathWord.vertex(c3, "v1")
-    s = GeneratorSymbol(v, starred=True)
-    assert not s.starred
-    assert s.adjoint() == s
+    m = Monomial.generator(v, starred=True)
+    assert m == Monomial.generator(v) == Monomial.vertex(c3, "v1")
+    assert m.adjoint() == m
+    assert str(m) == "L[@v1]"
 
 
 def test_symbol_adjoint_involution(c3):
-    s = GeneratorSymbol(parse_word(c3, "e1"))
-    assert s.adjoint().adjoint() == s
-    assert str(s) == "L[e1]" and str(s.adjoint()) == "L*[e1]"
+    m = Monomial.generator(parse_word(c3, "e1"))
+    assert m.adjoint().adjoint() == m
+    assert str(m) == "L[e1]" and str(m.adjoint()) == "L*[e1]"
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_generator_rules_on_every_short_word(name):
+    """The rules a separate letter type used to enforce: L*[@v] is the
+    projection at v, and L*[w] is the adjoint of L[w]."""
+    graph = load_fixture(name)
+    for w in enumerate_paths(graph, 3):
+        assert Monomial.generator(w, True) == Monomial.generator(w).adjoint()
+    for v in graph.vertices:
+        assert Monomial.generator(PathWord.vertex(graph, v), True) == Monomial.vertex(graph, v)
 
 
 def test_monomial_needs_shared_final_vertex(c3):
@@ -93,19 +104,19 @@ def test_monomial_display_forms(c3):
     assert str(Monomial(e1, e1)) == "L[e1]L*[e1]"
 
 
-def test_from_symbol(c3):
+def test_generator_sides(c3):
     e1 = parse_word(c3, "e1")
-    m = Monomial.from_symbol(GeneratorSymbol(e1))
-    assert m.creation == e1 and m.annihilation.is_vertex
-    ms = Monomial.from_symbol(GeneratorSymbol(e1, starred=True))
-    assert ms.creation.is_vertex and ms.annihilation == e1
+    m = Monomial.generator(e1)
+    assert m.creation == e1 and m.annihilation == PathWord.vertex(c3, "v2")
+    ms = Monomial.generator(e1, starred=True)
+    assert ms.creation == PathWord.vertex(c3, "v2") and ms.annihilation == e1
 
 
 # ---- reduction ----
 
 
-def _sym(graph, text, starred=False):
-    return GeneratorSymbol(parse_word(graph, text), starred)
+def _gen(graph, text, starred=False):
+    return Monomial.generator(parse_word(graph, text), starred)
 
 
 def test_reduce_relation_examples(single_edge):
@@ -113,46 +124,46 @@ def test_reduce_relation_examples(single_edge):
     fk = Backend.fock(4)
     # L*[e] L[e] compresses to the final vertex under both backends
     for b in (ax, fk):
-        m = reduce_word(b, [_sym(single_edge, "e", True), _sym(single_edge, "e")])
+        m = reduce_word(b, [_gen(single_edge, "e", True), _gen(single_edge, "e")])
         assert m == Monomial.vertex(single_edge, "v2")
     # L[e] L*[e] is where the two backends part ways
-    m_ax = reduce_word(ax, [_sym(single_edge, "e"), _sym(single_edge, "e", True)])
+    m_ax = reduce_word(ax, [_gen(single_edge, "e"), _gen(single_edge, "e", True)])
     assert m_ax == Monomial.vertex(single_edge, "v1")
     e = parse_word(single_edge, "e")
-    m_fk = reduce_word(fk, [_sym(single_edge, "e"), _sym(single_edge, "e", True)])
+    m_fk = reduce_word(fk, [_gen(single_edge, "e"), _gen(single_edge, "e", True)])
     assert m_fk == Monomial(e, e)
 
 
 def test_reduce_inadmissible_product_is_zero(c3):
     for b in (Backend.axiomatic(), Backend.fock(6)):
-        assert reduce_word(b, [_sym(c3, "e2"), _sym(c3, "e1")]) is None
-        assert reduce_word(b, [_sym(c3, "e1"), _sym(c3, "e1")]) is None
+        assert reduce_word(b, [_gen(c3, "e2"), _gen(c3, "e1")]) is None
+        assert reduce_word(b, [_gen(c3, "e1"), _gen(c3, "e1")]) is None
 
 
 def test_reduce_mixed_prefix_cases(c3):
     ax = Backend.axiomatic()
     # L*[e1] applied to L[e1.e2] strips the prefix
-    m = reduce_word(ax, [_sym(c3, "e1", True), _sym(c3, "e1.e2")])
-    assert m == Monomial.from_symbol(_sym(c3, "e2"))
+    m = reduce_word(ax, [_gen(c3, "e1", True), _gen(c3, "e1.e2")])
+    assert m == _gen(c3, "e2")
     # over-stripping: L*[e1.e2] L[e1] leaves an annihilator remainder
-    m2 = reduce_word(ax, [_sym(c3, "e1.e2", True), _sym(c3, "e1")])
-    assert m2 == Monomial.from_symbol(_sym(c3, "e2", True))
-    assert reduce_word(ax, [_sym(c3, "e2", True), _sym(c3, "e1")]) is None
+    m2 = reduce_word(ax, [_gen(c3, "e1.e2", True), _gen(c3, "e1")])
+    assert m2 == _gen(c3, "e2", True)
+    assert reduce_word(ax, [_gen(c3, "e2", True), _gen(c3, "e1")]) is None
 
 
 def test_reduce_empty_and_mixed_graph_rejected(c3, one_loop):
     with pytest.raises(DomainError):
         reduce_word(Backend.axiomatic(), [])
     with pytest.raises(DomainError):
-        reduce_word(Backend.axiomatic(), [_sym(c3, "e1"), _sym(one_loop, "l")])
+        reduce_word(Backend.axiomatic(), [_gen(c3, "e1"), _gen(one_loop, "l")])
 
 
 def test_required_depth_and_strictness(one_loop):
-    syms = [_sym(one_loop, "l"), _sym(one_loop, "l.l", True), _sym(one_loop, "l")]
-    assert required_depth(syms) == 4
+    word = [_gen(one_loop, "l"), _gen(one_loop, "l.l", True), _gen(one_loop, "l")]
+    assert required_depth(word) == 4
     with pytest.raises(DepthError):
-        reduce_word(Backend.fock(3), syms)
-    assert reduce_word(Backend.fock(4), syms) is not None
+        reduce_word(Backend.fock(3), word)
+    assert reduce_word(Backend.fock(4), word) is not None
 
 
 def test_cancel_final_segment(one_loop):
@@ -251,9 +262,9 @@ def test_axiomatic_associativity_witnesses():
     assert (e1_star * e2) * e2_star == e1_star * (e2 * e2_star)
     assert ((e1_star * e2) * e2_star).is_zero
     b = load_fixture("bouquet3")
-    word = [_sym(b, "l1.l2"), _sym(b, "l1.l2", True), _sym(b, "l2")]
+    word = [_gen(b, "l1.l2"), _gen(b, "l1.l2", True), _gen(b, "l2")]
     assert reduce_word(ax, word) is None
-    assert reduce_word(ax, [s.adjoint() for s in reversed(word)]) is None
+    assert reduce_word(ax, [m.adjoint() for m in reversed(word)]) is None
 
 
 # ---- the letter-stack oracle ----
@@ -264,32 +275,32 @@ def _stack_normal_form(backend, word):
     pops, ``L*[e]L[f]`` with e != f is zero, and on axiomatic ``L[e]L*[e]``
     pops where e is its vertex's sole exit.  A word that is not composable
     is zero.  The letters left spell the normal form ``L[p]L*[q]``."""
-    graph = word[0].word.graph
+    letters = [read_letter(m) for m in word]
+    graph = letters[0][0].graph
     sole = frozenset() if backend.is_fock else graph.sole_exits
 
-    def ends(s):  # (range vertex, vertex it leaves from)
-        return (s.word.final, s.word.initial) if s.starred else (s.word.initial, s.word.final)
+    def ends(w, starred):  # (range vertex, vertex it leaves from)
+        return (w.final, w.initial) if starred else (w.initial, w.final)
 
-    if any(ends(s)[1] != ends(t)[0] for s, t in zip(word, word[1:])):
+    if any(ends(*s)[1] != ends(*t)[0] for s, t in zip(letters, letters[1:])):
         return None
     stack = []
-    for s in word:
-        edges = reversed(s.word.edges) if s.starred else s.word.edges
-        for e in edges:
-            if stack and stack[-1][1] and not s.starred:
+    for w, starred in letters:
+        for e in reversed(w.edges) if starred else w.edges:
+            if stack and stack[-1][1] and not starred:
                 if stack.pop()[0] != e:
                     return None
-            elif stack and stack[-1] == (e, False) and s.starred and e in sole:
+            elif stack and stack[-1] == (e, False) and starred and e in sole:
                 stack.pop()
             else:
-                stack.append((e, s.starred))
+                stack.append((e, starred))
 
     def side(edges, v):
         return PathWord.from_edges(graph, edges) if edges else PathWord.vertex(graph, v)
 
     p = [e for e, starred in stack if not starred]
     q = [e for e, starred in reversed(stack) if starred]
-    return Monomial(side(p, ends(word[0])[0]), side(q, ends(word[-1])[1]))
+    return Monomial(side(p, ends(*letters[0])[0]), side(q, ends(*letters[-1])[1]))
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -313,12 +324,16 @@ def test_fock_apply_examples(single_edge):
     v1 = PathWord.vertex(single_edge, "v1")
     v2 = PathWord.vertex(single_edge, "v2")
     # L[e] glues onto a final-vertex word, L*[e] strips back down
-    assert fock_apply(fk, GeneratorSymbol(e), v2) == e
-    assert fock_apply(fk, GeneratorSymbol(e, True), e) == v2
-    assert fock_apply(fk, GeneratorSymbol(e), v1) is None
-    assert fock_apply(fk, GeneratorSymbol(e, True), v1) is None
-    assert fock_apply(fk, GeneratorSymbol(v1), v1) == v1
-    assert fock_apply(fk, GeneratorSymbol(v1), v2) is None
+    assert fock_apply(fk, Monomial.generator(e), v2) == e
+    assert fock_apply(fk, Monomial.generator(e, True), e) == v2
+    assert fock_apply(fk, Monomial.generator(e), v1) is None
+    assert fock_apply(fk, Monomial.generator(e, True), v1) is None
+    assert fock_apply(fk, Monomial.generator(v1), v1) == v1
+    assert fock_apply(fk, Monomial.generator(v1), v2) is None
+    # L[e]L*[e] strips e and glues it back: the projection onto words
+    # starting with e
+    assert fock_apply(fk, Monomial(e, e), e) == e
+    assert fock_apply(fk, Monomial(e, e), v1) is None
 
 
 def test_fock_apply_depth_edges(one_loop):
@@ -326,23 +341,38 @@ def test_fock_apply_depth_edges(one_loop):
     l = parse_word(one_loop, "l")
     ll = parse_word(one_loop, "l.l")
     # gluing beyond the truncation vanishes instead of overflowing
-    assert fock_apply(fk, GeneratorSymbol(l), ll) is None
+    assert fock_apply(fk, Monomial.generator(l), ll) is None
     with pytest.raises(DepthError):
-        fock_apply(fk, GeneratorSymbol(l), parse_word(one_loop, "l.l.l"))
+        fock_apply(fk, Monomial.generator(l), parse_word(one_loop, "l.l.l"))
+    with pytest.raises(DomainError):
+        fock_apply(Backend.axiomatic(), Monomial.generator(l), l)
 
 
 def test_apply_generator_word_matches_reduction(c3):
     fk = Backend.fock(6)
-    syms = [_sym(c3, "e1"), _sym(c3, "e1", True), _sym(c3, "e1")]
-    m = reduce_word(fk, syms)
+    word = [_gen(c3, "e1"), _gen(c3, "e1", True), _gen(c3, "e1")]
+    m = reduce_word(fk, word)
+    assert m == _gen(c3, "e1")
     for u in (PathWord.vertex(c3, "v2"), parse_word(c3, "e2")):
-        direct = apply_generator_word(fk, syms, u)
-        via_monomial = apply_generator_word(
-            fk, [GeneratorSymbol(m.annihilation, True)], u
-        )
-        if via_monomial is not None:
-            via_monomial = apply_generator_word(fk, [GeneratorSymbol(m.creation)], via_monomial)
-        assert direct == via_monomial
+        assert apply_generator_word(fk, word, u) == fock_apply(fk, m, u)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_two_sided_action_is_strip_then_glue(name, data):
+    """L[p]L*[q] acts on every basis word up to the depth as L*[q] and
+    then L[p], the depth cut included."""
+    graph = load_fixture(name)
+    depth = 4
+    paths = enumerate_paths(graph, 2)
+    p = data.draw(st.sampled_from(paths))
+    q = data.draw(st.sampled_from([q for q in paths if q.final == p.final]))
+    fk = Backend.fock(depth)
+    m = Monomial(p, q)
+    pieces = [Monomial.generator(p), Monomial.generator(q, True)]
+    for u in enumerate_paths(graph, depth):
+        assert fock_apply(fk, m, u) == apply_generator_word(fk, pieces, u)
 
 
 # ---- properties ----
@@ -351,16 +381,16 @@ def test_apply_generator_word_matches_reduction(c3):
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_axiomatic_reduction_is_confluent(data):
-    """Reducing a symbol word by any association order gives one normal form."""
+    """Reducing a generator word by any association order gives one normal form."""
     g = data.draw(graphs(min_edges=1))
     n = data.draw(st.integers(2, 5))
-    syms = [data.draw(symbols(g)) for _ in range(n)]
+    syms = [data.draw(generators(g)) for _ in range(n)]
     ax = Backend.axiomatic()
     expected = reduce_word(ax, syms)
 
     def reduce_random(lo, hi):
         if hi - lo == 1:
-            return cancel_final_segment(Monomial.from_symbol(syms[lo]))
+            return cancel_final_segment(syms[lo])
         cut = data.draw(st.integers(lo + 1, hi - 1))
         left = reduce_random(lo, cut)
         right = reduce_random(cut, hi)
@@ -377,7 +407,7 @@ def test_axiomatic_reduction_is_confluent(data):
 def test_reduction_respects_adjoint(data):
     g = data.draw(graphs(min_edges=1))
     n = data.draw(st.integers(1, 4))
-    syms = [data.draw(symbols(g)) for _ in range(n)]
+    syms = [data.draw(generators(g)) for _ in range(n)]
     for b in (Backend.axiomatic(), Backend.fock(2 * n)):
         m = reduce_word(b, syms)
         m_adj = reduce_word(b, [s.adjoint() for s in reversed(syms)])
@@ -392,12 +422,9 @@ def test_reduction_respects_adjoint(data):
 def test_fock_reduction_agrees_with_basis_action(data):
     """The reduced monomial induces the same partial map the word does,
     on basis words short enough that no intermediate glue truncates."""
-    from graphprob import enumerate_paths
-    from graphprob.graphs import concat, strip_prefix
-
     g = data.draw(graphs(min_edges=1))
     n = data.draw(st.integers(1, 3))
-    syms = [data.draw(symbols(g, max_len=2)) for _ in range(n)]
+    syms = [data.draw(generators(g, max_len=2)) for _ in range(n)]
     headroom = 3
     depth = required_depth(syms) + headroom
     fk = Backend.fock(depth)
@@ -405,9 +432,4 @@ def test_fock_reduction_agrees_with_basis_action(data):
 
     for u in enumerate_paths(g, headroom):
         direct = apply_generator_word(fk, syms, u)
-        if m is None:
-            assert direct is None
-            continue
-        stripped = strip_prefix(m.annihilation, u)
-        expected = None if stripped is None else concat(m.creation, stripped)
-        assert direct == expected
+        assert direct == (None if m is None else fock_apply(fk, m, u))

@@ -11,7 +11,7 @@ from graphprob import (  # noqa: F401  (every module, see RECORDS)
 )
 from graphprob.algebra import AlgebraElement, DiagonalElement, Support
 from graphprob.graphs import Edge, EdgeClasses, PathWord, parse_word
-from graphprob.operators import Backend, GeneratorSymbol, Monomial
+from graphprob.operators import Backend, Monomial
 from graphprob.records import Record, to_json
 from graphprob.scalars import Scalar
 
@@ -47,7 +47,7 @@ def _values(cls, tag):
 
 
 def test_every_value_type_is_a_record():
-    assert len(RECORDS) == 25
+    assert len(RECORDS) == 24
     assert all(cls._fields for cls in RECORDS)
 
 
@@ -127,13 +127,11 @@ def test_defaults():
     assert Backend.fock(3) != Backend("fock", 4)
 
 
-def test_generator_symbol_default(one_loop):
-    w = parse_word(one_loop, "l")
-    assert GeneratorSymbol(w).starred is False
-    assert GeneratorSymbol(w, True).starred is True
-    assert GeneratorSymbol(word=w, starred=True) == GeneratorSymbol(w, True)
-    # A vertex generator is self-adjoint: __post_init__ clears the star.
-    assert GeneratorSymbol(parse_word(one_loop, "@v"), True).starred is False
+def test_backend_keywords_and_default():
+    # A field with a default, left out or given by keyword in any order.
+    assert Backend("fock").depth == 0
+    assert Backend(kind="fock") == Backend("fock", 0)
+    assert Backend(depth=2, kind="fock") == Backend("fock", 2)
 
 
 def test_keyword_construction():
