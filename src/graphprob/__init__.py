@@ -52,13 +52,23 @@ __version__ = "0.1.0"
 __all__ = [*_MODULES, "__version__"]
 
 
-def __getattr__(name):
-    module = _MODULES.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
-    globals()[name] = value
-    return value
+def _first_use(namespace, table):
+    """The PEP 562 ``__getattr__`` of the module whose globals are
+    ``namespace``: a name in ``table`` is read from ``graphprob.<table[name]>``
+    on first use and cached in ``namespace``; any other name raises
+    AttributeError naming the module."""
+
+    def __getattr__(name):
+        module = table.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(__import__(f"graphprob.{module}", fromlist=[name]), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _first_use(globals(), _MODULES)
 
 
 def __dir__():

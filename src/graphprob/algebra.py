@@ -21,19 +21,11 @@ from numbers import Rational
 
 from .errors import BackendMismatchError, DomainError
 from .graphs import Graph, PathWord
-from .operators import Backend, Monomial, compose, reduce_word
+from .operators import Backend, Monomial, compose
 from .records import Record
 from .scalars import ONE, ZERO, Scalar
 
 _ScalarLike = (Scalar, Rational)
-
-
-def _scalar(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, Rational):
-        return Scalar.of(x)
-    raise TypeError(f"not a scalar: {x!r}")
 
 
 class DiagonalElement(Record):
@@ -58,7 +50,7 @@ class DiagonalElement(Record):
 
     @classmethod
     def make(cls, graph: Graph, mapping) -> "DiagonalElement":
-        coerced = {v: _scalar(c) for v, c in dict(mapping).items()}
+        coerced = {v: Scalar.of(c) for v, c in dict(mapping).items()}
         items = tuple(
             (v, c) for v, c in sorted(coerced.items(), key=lambda vc: vc[0]) if not c.is_zero
         )
@@ -74,7 +66,7 @@ class DiagonalElement(Record):
 
     @classmethod
     def vertex_unit(cls, graph: Graph, v: str, coeff=ONE) -> "DiagonalElement":
-        return cls.make(graph, {v: _scalar(coeff)})
+        return cls.make(graph, {v: coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -113,7 +105,7 @@ class DiagonalElement(Record):
         if isinstance(other, AlgebraElement):
             return other._dress(self, "creation")
         if isinstance(other, _ScalarLike):
-            s = _scalar(other)
+            s = Scalar.of(other)
             return DiagonalElement.make(
                 self.graph, {v: c * s for v, c in self.coeffs}
             )
@@ -139,13 +131,6 @@ class DiagonalElement(Record):
                 raise DomainError(f"unknown vertex: {v}")
         return DiagonalElement(
             self.graph, tuple((v, c) for v, c in self.coeffs if v in subset)
-        )
-
-    def embed(self, backend: Backend) -> "AlgebraElement":
-        return AlgebraElement.make(
-            self.graph,
-            backend,
-            {Monomial.vertex(self.graph, v): c for v, c in self.coeffs},
         )
 
     def json_form(self) -> dict:
@@ -185,7 +170,7 @@ class AlgebraElement(Record):
     def make(cls, graph: Graph, backend: Backend, term_map) -> "AlgebraElement":
         acc: dict[Monomial, Scalar] = {}
         for m, c in dict(term_map).items():
-            c = _scalar(c)
+            c = Scalar.of(c)
             if c.is_zero:
                 continue
             if m.graph != graph:
@@ -215,8 +200,7 @@ class AlgebraElement(Record):
 
     @classmethod
     def generator(cls, graph, backend, word: PathWord, starred: bool = False) -> "AlgebraElement":
-        m = reduce_word(backend, [Monomial.generator(word, starred)])
-        return cls.make(graph, backend, {m: ONE})
+        return cls.make(graph, backend, {Monomial.generator(word, starred): ONE})
 
     @classmethod
     def symmetrized_generator(cls, graph, backend, word: PathWord) -> "AlgebraElement":
@@ -279,7 +263,7 @@ class AlgebraElement(Record):
         )
 
     def scale(self, s) -> "AlgebraElement":
-        s = _scalar(s)
+        s = Scalar.of(s)
         if s.is_zero:
             return AlgebraElement.zero(self.graph, self.backend)
         return AlgebraElement(

@@ -6,15 +6,17 @@ report is reproducible from its inputs.
 Each report renders as text with ``to_text`` and as JSON with
 ``to_json_dict``, the ``records.to_json`` walk.  Both names are bound in
 each report class's own body, where tracing tools wrap them.  The text
-table is ``records.format_table``, beside the JSON walk.  The
-decomposition (``structure``) and the audit (``audit``) are re-exported
-here on first use (PEP 562), so a check compiles neither.
+table is ``records.format_table``, beside the JSON walk.  The entry
+points and reports of the decomposition (``structure``) and the audit
+(``audit``) are re-exported here on first use (PEP 562), so a check
+compiles neither; their rows and blocks are read from those modules.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from . import _first_use
 from .algebra import AlgebraElement, DiagonalElement, SeriesTerm
 from .cumulants import MixedScanReport, ScanFinding, cumulant_series, mixed_cumulant_scan
 from .errors import DomainError
@@ -22,20 +24,12 @@ from .graphs import Graph, PathWord, diagram_distinct
 from .operators import Backend
 from .records import Record, format_table, to_json
 
-# Each re-exported name and the module that defines it.
-_MOVED = {
-    **dict.fromkeys(("BasicLoopRow", "DecompositionReport", "DiagonalBlock", "EdgeBlock",
-                     "decompose"), "structure"),
-    **dict.fromkeys(("AUDIT_DEPTHS", "AuditReport", "AuditRow", "claims_audit"), "audit"),
-}
-
-
-def __getattr__(name):
-    module = _MOVED.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(__import__(f"graphprob.{module}", fromlist=[name]), name)
-    return value
+# The names of structure and audit that callers read through this
+# module, each imported on first use.
+__getattr__ = _first_use(globals(), {
+    **dict.fromkeys(("DecompositionReport", "decompose"), "structure"),
+    **dict.fromkeys(("AuditReport", "claims_audit"), "audit"),
+})
 
 
 def _findings_table(findings) -> str:

@@ -35,33 +35,29 @@ differently graded terms) counts as balanced.
 Moments come from one ``algebra.MomentTable`` per functional, which
 meets in the middle.  Explicit sums over nestings (``cumulant_to_moment``,
 the abstract ``PairSource``, and the brute-force reference
-``enumerate_nc`` with ``nested_evaluate``) live in ``nestings`` and are
-re-exported here on first use.
+``enumerate_nc`` with ``nested_evaluate``) live in ``nestings``; the
+ones a tracing tool reads through this module are re-exported here on
+first use, and the rest (``NCPartition``, ``DressedTag``, ...) are read
+from ``nestings``.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from . import _first_use
 from .errors import DomainError
 from .algebra import AlgebraElement, DiagonalElement, MomentTable
 from .operators import free_product
 from .records import Record
 
-# The explicit nesting sums and the brute-force reference live in
-# nestings; re-exported here on first use.
-_NESTINGS_NAMES = ("NC_ENUMERATION_LIMIT", "NCPartition", "catalan", "enumerate_nc",
-                   "nested_evaluate", "moment_to_cumulant", "cumulant_to_moment",
-                   "DressedTag", "dressed_tags", "PairSource")
-
-
-def __getattr__(name):
-    if name not in _NESTINGS_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import nestings
-
-    value = globals()[name] = getattr(nestings, name)
-    return value
+# The names of nestings that callers read through this module, each
+# imported on first use.
+__getattr__ = _first_use(globals(), dict.fromkeys(
+    ("catalan", "enumerate_nc", "nested_evaluate", "moment_to_cumulant", "cumulant_to_moment",
+     "PairSource"),
+    "nestings",
+))
 
 
 def _first_blocks(lo: int, hi: int, balanced=lambda i, j: True) -> list[tuple[int, ...]]:

@@ -6,8 +6,9 @@ by span over first blocks, and restores the moment when the source is
 abstract pair law whose slots carry their dressings.  ``enumerate_nc``,
 ``NCPartition`` and ``nested_evaluate`` (one nesting) are the
 brute-force reference the tests compare the bracket recursion with.
-No command calls these: ``cumulants`` re-exports them on first use, so
-the commands that take brackets do not compile this module.
+No command calls these, so the commands that take brackets do not
+compile this module.  ``cumulants`` re-exports, on first use, only the
+names a tracing tool reads through it; the rest are read from here.
 """
 
 from __future__ import annotations

@@ -186,7 +186,7 @@ def compose(m1: Monomial, m2: Monomial) -> Monomial | None:
     if rest is not None:
         return Monomial(concat(m1.creation, rest), m2.annihilation)
     over = strip_prefix(m2.creation, m1.annihilation)
-    if over is not None and not over.is_vertex:
+    if over is not None:
         return Monomial(m1.creation, concat(m2.annihilation, over))
     return None
 

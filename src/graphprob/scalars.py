@@ -50,6 +50,10 @@ class Scalar(Record):
 
     @staticmethod
     def of(re, im=0) -> "Scalar":
+        """The scalar re + im*i from exact rationals or their strings; a
+        Scalar ``re`` with no ``im`` is returned unchanged."""
+        if isinstance(re, Scalar) and im == 0:
+            return re
         return Scalar(_rational(re), _rational(im))
 
     @property

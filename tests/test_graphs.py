@@ -269,6 +269,21 @@ def test_word_str_round_trip(data):
     assert parse_word(g, str(w)) == w
 
 
+def graph_file(graph: Graph, pad: str = " ") -> str:
+    """``graph`` in the graph-file format: tokens separated by ``pad``,
+    a comment line first and a trailing comment on each edge line."""
+    lines = ["# a drawn graph", "vertices:" + pad + pad.join(graph.vertices)]
+    lines += [f"edge{pad}{e.id}{pad}:{pad}{e.initial}{pad}->{pad}{e.final}{pad}# {e.id}"
+              for e in graph.edges]
+    return "\n".join(lines) + "\n"
+
+
+@given(g=graphs(), pad=st.sampled_from([" ", "  ", "\t", " \t "]))
+@settings(max_examples=60)
+def test_graph_file_round_trip(g, pad):
+    assert parse_graph(graph_file(g, pad)) == g
+
+
 @given(data=st.data())
 @settings(max_examples=60)
 def test_concat_associative_when_defined(data):

@@ -3,6 +3,8 @@
 import importlib
 import types
 
+import pytest
+
 import graphprob
 from graphprob import analyzers, audit, cumulants, nestings, operators, records, structure
 
@@ -46,13 +48,30 @@ def test_references_live_only_in_their_modules():
 def test_moved_names_stay_reachable_from_their_old_modules():
     # bench/trace_op.py looks up the decomposition and the audit in
     # analyzers, and the nesting sums and references in cumulants, by name.
-    for name in ("decompose", "DecompositionReport", "DiagonalBlock", "EdgeBlock",
-                 "BasicLoopRow"):
+    for name in ("decompose", "DecompositionReport"):
         assert getattr(analyzers, name) is getattr(structure, name)
     assert analyzers.format_table is records.format_table
-    for name in ("claims_audit", "AuditReport", "AuditRow", "AUDIT_DEPTHS"):
+    for name in ("claims_audit", "AuditReport"):
         assert getattr(analyzers, name) is getattr(audit, name)
-    for name in ("NCPartition", "catalan", "enumerate_nc", "nested_evaluate",
-                 "moment_to_cumulant", "cumulant_to_moment", "DressedTag", "dressed_tags",
-                 "PairSource", "NC_ENUMERATION_LIMIT"):
+    for name in ("catalan", "enumerate_nc", "nested_evaluate", "moment_to_cumulant",
+                 "cumulant_to_moment", "PairSource"):
         assert getattr(cumulants, name) is getattr(nestings, name)
+
+
+def test_unknown_and_dropped_names_raise_naming_their_module():
+    for module in (graphprob, analyzers, cumulants):
+        with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'bogus'"):
+            module.bogus
+    # Rows, blocks and limits are read from the modules that define them.
+    dropped = {
+        analyzers: {structure: ("BasicLoopRow", "DiagonalBlock", "EdgeBlock"),
+                    audit: ("AUDIT_DEPTHS", "AuditRow")},
+        cumulants: {nestings: ("NCPartition", "NC_ENUMERATION_LIMIT", "DressedTag",
+                               "dressed_tags")},
+    }
+    for shim, homes in dropped.items():
+        for home, names in homes.items():
+            for name in names:
+                with pytest.raises(AttributeError, match=f"'{shim.__name__}' has no attribute"):
+                    getattr(shim, name)
+                assert getattr(home, name) is not None
