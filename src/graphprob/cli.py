@@ -9,7 +9,8 @@ is ``L[w] + L*[w]``, juxtaposition multiplies, vertex words are ``@v``.
 
 Exit codes: 0 on success, 1 on a reported domain error (a JSON error
 object goes to stderr), 2 on argument errors.  Output is deterministic
-for fixed inputs.
+for fixed inputs.  ``main(argv)`` returns the code; ``run``, which
+``python -m graphprob`` and the ``graphprob`` script call, exits with it.
 
 Each command imports the layers above ``graphs`` when it runs, so a
 fresh interpreter compiles only the modules that command uses.  The text
@@ -26,6 +27,7 @@ which choose it.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
@@ -424,5 +426,20 @@ def main(argv=None) -> int:
     return 0
 
 
+def run():
+    """The process entry point: ``main()`` on ``sys.argv``, then exit
+    with its code.  ``main`` is for callers in a process that goes on.
+
+    ``gc.freeze()`` moves everything the run made, modules and code
+    included, to the collector's permanent generation, so the
+    interpreter's finalization no longer walks that heap with the cyclic
+    collector before it frees it.  ``sys.exit`` still runs ``atexit``
+    handlers and flushes stdio, and a failed flush still exits 120.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

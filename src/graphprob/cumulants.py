@@ -44,9 +44,10 @@ from ``nestings``.
 from __future__ import annotations
 
 import itertools
+import sys
 
 from . import _first_use
-from .errors import DomainError
+from .errors import ArityBoundError, DomainError
 from .algebra import AlgebraElement, DiagonalElement, MomentTable
 from .operators import free_product
 from .records import Record
@@ -218,6 +219,14 @@ def _adjoint_closure(family) -> list[AlgebraElement]:
     return list(dict.fromkeys(out + [a.adjoint() for a in out]))
 
 
+# The scan's walk recurses once per slot, and a bracket at its leaf at
+# most twice more per slot (``valuation`` and ``_block`` per nested
+# bracket, or ``_first_blocks``' ``grow``); the headroom is for the
+# caller's frames and the arithmetic under the deepest bracket.
+_FRAMES_PER_SLOT = 3
+_FRAME_HEADROOM = 100
+
+
 def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> MixedScanReport:
     """Evaluate every mixed cumulant over the adjoint closures of two
     families, orders 1..max_order, and report the nonzero ones.
@@ -235,9 +244,19 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
     bracket is zero.  When a pool element has no image (a sum), nothing
     is pruned and every mixed tuple goes to ``valuation``, which grades
     it.  ``tuples_checked`` counts all mixed tuples, by closed form.
+
+    An order whose walk and brackets would need more frames than
+    ``sys.getrecursionlimit()`` allows raises ArityBoundError first.
     """
     if max_order < 1:
         raise DomainError("max order must be positive")
+    limit = sys.getrecursionlimit()
+    reach = (limit - _FRAME_HEADROOM) // _FRAMES_PER_SLOT
+    if max_order > reach:
+        raise ArityBoundError(
+            f"scan order {max_order} exceeds {reach}, the deepest the recursion limit "
+            f"{limit} allows"
+        )
     closed_a = _adjoint_closure(family_a)
     closed_b = _adjoint_closure(family_b)
     labels = dict(labels or {})

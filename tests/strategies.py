@@ -21,6 +21,18 @@ def graphs(draw, max_vertices: int = 4, max_edges: int = 5, min_edges: int = 0):
 
 
 @st.composite
+def graphs_without_sole_exits(draw, max_vertices: int = 4, max_edges: int = 5):
+    """A drawn graph, then one more edge out of each vertex that has
+    exactly one, so no edge is its vertex's sole exit."""
+    g = draw(graphs(max_vertices, max_edges, min_edges=1))
+    edges = list(g.edges)
+    for v in g.vertices:
+        if len(g.edges_from(v)) == 1:
+            edges.append(Edge(f"e{len(edges) + 1}", v, draw(st.sampled_from(g.vertices))))
+    return Graph(g.vertices, tuple(edges))
+
+
+@st.composite
 def words(draw, graph: Graph, max_len: int = 3, allow_vertex: bool = True):
     """An admissible word grown edge by edge; may stop early at a dead end."""
     start = draw(st.sampled_from(graph.vertices))

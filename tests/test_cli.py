@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import json
 import os
@@ -294,6 +295,82 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["summary"] == "3 vertices, 3 edges"
+
+
+# ---- the process entry point ----
+
+
+def _src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _python_m(*argv):
+    return subprocess.run([sys.executable, "-m", "graphprob", *argv], capture_output=True,
+                          cwd=ROOT, env=_src_env())
+
+
+# One command line per exit code: success, a domain error, a usage error.
+EXIT_CASES = (
+    (0, ("validate", C3, "--format", "json")),
+    (1, ("moments", ONE_LOOP, "L[x]")),
+    (2, ("moments", ONE_LOOP, "a:l", "--bogus", "4")),
+)
+
+
+@pytest.mark.parametrize("code, argv", EXIT_CASES, ids=[str(code) for code, _ in EXIT_CASES])
+def test_main_leaves_the_collector_alone(capsys, code, argv):
+    # Only the process entry point (cli.run) freezes the collector; a
+    # caller of main in a process that goes on keeps its collector as it was.
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    assert run(capsys, *argv)[0] == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+@pytest.mark.parametrize("code, argv", EXIT_CASES, ids=[str(code) for code, _ in EXIT_CASES])
+def test_module_entry_point_prints_what_main_prints(capsys, code, argv):
+    want = run(capsys, *argv)
+    done = _python_m(*argv)
+    assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == want
+    assert want[0] == code
+
+
+def test_module_entry_point_writes_the_output_file(tmp_path, capsys):
+    argv = ("check-rdiagonal", C3, "e1.e2", "--max-order", "5", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    done = _python_m(*argv, "--output", str(tmp_path / "out.json"))
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert (tmp_path / "out.json").read_bytes() == out.encode("utf-8")
+
+
+def test_module_entry_point_freezes_the_heap_and_still_exits_cleanly():
+    # python -m graphprob goes through run(), which freezes before
+    # sys.exit; exit handlers still run after it.
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count() > 0}'))\n"
+        "sys.argv[1:] = ['validate', sys.argv[1]]\n"
+        "runpy.run_module('graphprob', run_name='__main__')\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, C3], capture_output=True, cwd=ROOT,
+                          env=_src_env())
+    assert (done.returncode, done.stderr) == (0, b"frozen True")
+    assert done.stdout.startswith(b"graph ok: 3 vertices, 3 edges\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_flush_at_exit_still_exits_120():
+    # With buffered stdout the write succeeds and the flush at exit fails:
+    # the interpreter reports it and exits 120, as it did before run().
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "graphprob", "validate", C3], stdout=full,
+                              stderr=subprocess.PIPE, cwd=ROOT, env=env)
+    assert done.returncode == 120
+    assert b"No space left on device" in done.stderr
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -716,12 +793,10 @@ def test_traced_run_prints_the_same_bytes(tmp_path, capsys, argv):
     argv = [*argv, "--format", "json"]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "trace_op.py"), str(tmp_path / "trace.json"), "--",
          *argv],
-        capture_output=True, cwd=ROOT, env=env,
+        capture_output=True, cwd=ROOT, env=_src_env(),
     )
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == out.encode("utf-8")
@@ -759,6 +834,44 @@ def test_path_enumeration_over_the_limit_is_arity_bound(capsys):
     for argv in (("paths", bouquet3, "--max-len", "20"),
                  ("decompose", bouquet3, "--loop-bound", "20")):
         assert run(capsys, *argv) == (1, "", json.dumps(payload) + "\n")
+
+
+def test_deep_scans_are_arity_bound(capsys):
+    # The scan's walk recurses once per slot: an order the recursion limit
+    # cannot reach is rejected before any bracket, not a RecursionError
+    # traceback.  Order 5000 fails fast, so a lost guard cannot hang here.
+    limit = sys.getrecursionlimit()
+    message = (f"scan order 5000 exceeds {(limit - 100) // 3}, the deepest the recursion limit "
+               f"{limit} allows")
+    payload = json.dumps({"error": {"code": "arity-bound", "message": message}}) + "\n"
+    for argv in (("check-rdiagonal", SINGLE_EDGE, "e", "--backend", "axiomatic"),
+                 ("check-freeness", str(fixture_path("parallel_edges")), "--family-a", "L[e1]",
+                  "--family-b", "L[e2]")):
+        assert run(capsys, *argv, "--max-order", "5000") == (1, "", payload), argv
+
+
+def test_scan_reach_follows_the_recursion_limit():
+    # Under a recursion limit of 130 the deepest scan is order 10, and it
+    # runs to the end; order 11 is arity-bound.
+    probe = (
+        "import sys\n"
+        "sys.setrecursionlimit(130)\n"
+        "from graphprob.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ("check-rdiagonal", SINGLE_EDGE, "e", "--backend", "axiomatic", "--format", "json",
+            "--max-order")
+    deepest = subprocess.run([sys.executable, "-c", probe, *argv, "10"], capture_output=True,
+                             cwd=ROOT, env=_src_env())
+    assert deepest.returncode == 0, deepest.stderr.decode()
+    assert json.loads(deepest.stdout)["nonzero"][-1]["order"] == 10
+    beyond = subprocess.run([sys.executable, "-c", probe, *argv, "11"], capture_output=True,
+                            cwd=ROOT, env=_src_env())
+    assert beyond.returncode == 1
+    assert json.loads(beyond.stderr)["error"] == {
+        "code": "arity-bound",
+        "message": "scan order 11 exceeds 10, the deepest the recursion limit 130 allows",
+    }
 
 
 def test_missing_graph_file_is_reported_before_the_request(tmp_path, capsys):

@@ -36,7 +36,13 @@ from graphprob.operators import free_product
 from graphprob.records import to_json
 
 from .conftest import FIXTURE_NAMES, fixture_path, load_fixture
-from .strategies import elements, generator_words, graphs, read_letter
+from .strategies import (
+    elements,
+    generator_words,
+    graphs,
+    graphs_without_sole_exits,
+    read_letter,
+)
 
 AX = Backend.axiomatic()
 
@@ -526,6 +532,26 @@ def test_bracket_is_multilinear(data):
 
     assert at(x + y) == at(x) + at(y)
     assert at(x.scale(c)) == at(x) * c
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_backends_agree_where_no_edge_is_a_sole_exit(data):
+    # Axiomatic cancels only sole exits, so on a graph without one it
+    # cancels nothing, and at full depth fock truncates nothing: moments,
+    # series brackets and mixed brackets agree exactly.
+    g = data.draw(graphs_without_sole_exits())
+    assert not g.sole_exits
+    drawn = [data.draw(elements(g, AX)) for _ in range(data.draw(st.integers(1, 4)))]
+    order = data.draw(st.integers(2, 5))
+    a = drawn[0]
+    fock = Backend.fock(order * max(1, a.degree, *(x.degree for x in drawn)))
+    on_fock = [AlgebraElement.make(g, fock, dict(x.terms)) for x in drawn]
+    assert a.moments(order) == on_fock[0].moments(order)
+    assert cumulant_series(a, order) == cumulant_series(on_fock[0], order)
+    args = tuple(drawn[:order])
+    fock_args = tuple(on_fock[:order])
+    assert CumulantFunctional().valuation(args) == CumulantFunctional().valuation(fock_args)
 
 
 # ---- mixed scans ----
