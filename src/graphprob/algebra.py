@@ -152,13 +152,6 @@ class SeriesTerm(Record):
         return {"order": self.order, **self.value.json_form()}
 
 
-class Support(Record):
-    """Vertex and path words carrying nonzero coefficients."""
-
-    vertex_support: tuple[str, ...]
-    path_support: tuple[PathWord, ...]
-
-
 class AlgebraElement(Record):
     """A finite linear combination of monomials under one backend."""
 
@@ -397,20 +390,11 @@ class AlgebraElement(Record):
                 acc[m.creation.initial] = c
         return DiagonalElement.make(self.graph, acc)
 
-    def support(self) -> Support:
-        verts = []
-        paths = set()
-        for m, _ in self.terms:
-            if m.is_vertex:
-                verts.append(m.creation.initial)
-            else:
-                if not m.creation.is_vertex:
-                    paths.add(m.creation)
-                if not m.annihilation.is_vertex:
-                    paths.add(m.annihilation)
-        return Support(
-            tuple(sorted(verts)), tuple(sorted(paths, key=lambda w: w.key()))
-        )
+    def support(self) -> tuple[PathWord, ...]:
+        """The path words on either side of the terms, sorted; the
+        vertices are ``expectation().support()``."""
+        paths = {w for m, _ in self.terms for w in (m.creation, m.annihilation) if not w.is_vertex}
+        return tuple(sorted(paths, key=PathWord.key))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -190,7 +190,7 @@ def check_freeness(family_a, family_b, max_order: int) -> FreenessReport:
     backend = family_a[0].backend
     scan = mixed_cumulant_scan(family_a, family_b, max_order)
     words_a, words_b = (
-        sorted({w for x in family for w in x.support().path_support}, key=PathWord.key)
+        sorted({w for x in family for w in x.support()}, key=PathWord.key)
         for family in (family_a, family_b)
     )
     bad = tuple(

@@ -275,7 +275,7 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
             # A sum has no image: every tuple counts as balanced, and each
             # bracket grades itself.
             images = [()] * len(pool)
-        reach = max(map(len, images))
+        longest = max(map(len, images))
         steps = [(x, image, x in in_a, x in in_b) for x, image in zip(pool, images)]
         f = CumulantFunctional()
 
@@ -287,7 +287,7 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
                     findings[n].append(ScanFinding(n, tuple(label(x) for x in prefix), val))
             if n >= max_order:
                 return
-            room = (max_order - n - 1) * reach
+            room = (max_order - n - 1) * longest
             for x, image, a, b in steps:
                 nxt = free_product(word, image)
                 if len(nxt) <= room:

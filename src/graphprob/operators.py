@@ -34,7 +34,7 @@ class Backend(Record):
     ``normal_form`` cancels."""
 
     kind: str
-    depth: int = 0
+    depth: int
 
     def __post_init__(self):
         if self.kind not in (AXIOMATIC, FOCK):
@@ -70,7 +70,7 @@ class Backend(Record):
 
     @classmethod
     def axiomatic(cls) -> "Backend":
-        return cls(AXIOMATIC)
+        return cls(AXIOMATIC, 0)
 
     @classmethod
     def fock(cls, depth: int) -> "Backend":

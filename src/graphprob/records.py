@@ -15,14 +15,13 @@ from operator import attrgetter
 class Record:
     """Base of the package's frozen value types.
 
-    A subclass's fields are its own annotations, in order, and a class
-    attribute of the same name is that field's default.  Instances are
+    A subclass's fields are its own annotations, in order.  Instances are
     equal only within one class, with equal field tuples, and hash as
     their field tuple, computed on first use and cached as ``_hash``.
-    A call with one positional value per field skips the keyword and
-    default handling.  ``Record.__init__`` then calls
-    ``self.__post_init__()``, where a subclass may check or derive state;
-    a subclass defines ``__init__`` only to rewrite its arguments before
+    The one way to build a record is a call with one positional value
+    per field; ``Record.__init__`` stores them and calls
+    ``self.__post_init__()``, where a subclass may check or derive state.
+    A subclass defines ``__init__`` only to rewrite its arguments before
     they are stored, as ``Scalar`` does.  Fields are set with
     ``object.__setattr__``, not through ``self.__dict__``, because reading
     ``__dict__`` turns the instance's inline attribute values into a
@@ -37,28 +36,13 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._json_keys = cls.__dict__.get("_json_keys", fields)
-        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
         getter = attrgetter(*fields)
         cls._values = staticmethod(getter if len(fields) > 1 else lambda obj: (getter(obj),))
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         fields = self._fields
-        if kwargs or len(args) != len(fields):
-            name = type(self).__name__
-            if len(args) > len(fields):
-                raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)} arguments")
-            values = dict(zip(fields, args))
-            for key, value in kwargs.items():
-                if key not in fields:
-                    raise TypeError(f"{name}() got an unexpected field {key!r}")
-                if key in values:
-                    raise TypeError(f"{name}() got multiple values for field {key!r}")
-                values[key] = value
-            values = {**self._defaults, **values}
-            for f in fields:
-                if f not in values:
-                    raise TypeError(f"{name}() missing field {f!r}")
-            args = [values[f] for f in fields]
+        if len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} fields, got {len(args)}")
         for f, value in zip(fields, args):
             object.__setattr__(self, f, value)
         self.__post_init__()

@@ -37,8 +37,8 @@ class Scalar(Record):
     is ``{"re": "num/den", "im": "num/den"}``, its fields.
     """
 
-    re: Rational = 0
-    im: Rational = 0
+    re: Rational
+    im: Rational
 
     def __init__(self, re: Rational = 0, im: Rational = 0):
         if re.__class__ is not int and re.denominator == 1:

@@ -186,9 +186,8 @@ def test_support_sets(lollipop):
     a = AlgebraElement.generator(lollipop, AX, l) + AlgebraElement.vertex_projection(
         lollipop, AX, "v2"
     ).scale(2)
-    sup = a.support()
-    assert sup.vertex_support == ("v2",)
-    assert sup.path_support == (l,)
+    assert a.support() == (l,)
+    assert a.expectation().support() == ("v2",)
 
 
 # ---- faithfulness probe ----
@@ -354,6 +353,24 @@ def test_moment_table_matches_products(name):
                 assert got == functools.reduce(operator.mul, args).expectation()
                 nonzero += len(args) > 2 and not got.is_zero
     assert imageless > 0 and nonzero > 0
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_moment_table_matches_products_on_drawn_graphs(data):
+    """The same check on drawn graphs and elements: every prefix and
+    suffix of one tuple, on axiomatic and again on a fock depth that
+    covers the whole tuple.  The tuple ends in the adjoints of its drawn
+    elements, in reverse, so that many of its moments are nonzero."""
+    g = data.draw(graphs(min_edges=1))
+    drawn = data.draw(st.lists(elements(g, AX), min_size=1, max_size=5))
+    drawn += [x.adjoint() for x in reversed(drawn)]
+    deep = fock(sum(x.degree for x in drawn))
+    for args in (tuple(drawn), tuple(AlgebraElement.make(g, deep, x.terms) for x in drawn)):
+        table = MomentTable()
+        parts = [args[:k] for k in range(1, len(args) + 1)] + [args[k:] for k in range(1, len(args))]
+        for part in parts:
+            assert table.moment(part) == functools.reduce(operator.mul, part).expectation()
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

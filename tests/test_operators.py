@@ -42,7 +42,7 @@ def test_backend_rejects_bad_shapes():
     with pytest.raises(DomainError):
         Backend.fock(-1)
     with pytest.raises(DomainError):
-        Backend("bogus")
+        Backend("bogus", 0)
 
 
 def test_backend_gate_and_normal_form(one_loop):
