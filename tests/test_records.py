@@ -145,6 +145,43 @@ def test_defaults():
     assert Backend.axiomatic() == Backend("axiomatic", 0)
 
 
+def test_keyword_construction():
+    # A keyword is refused, alone or after positions, in any order; the
+    # same values by position build the record.
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        Edge(id="e", initial="a", final="b")
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        Edge("e", final="b", initial="a")
+    edge = Edge("e", "a", "b")
+    assert (edge.id, edge.initial, edge.final) == ("e", "a", "b")
+    assert edge.is_loop is False
+
+
+# Each bad call, by the fault it has, and the one TypeError it now raises:
+# a wrong count names the class and its field count, and any keyword is
+# refused by Python itself before the fields are looked at.
+_BAD_CONSTRUCTION = {
+    "missing field 'final'": r"^Edge\(\) takes 3 fields, got 2$",
+    "unexpected field 'colour'": r"unexpected keyword argument 'colour'",
+    "multiple values for field 'id'": r"unexpected keyword argument 'id'",
+    "takes 3 fields, got 4": r"^Edge\(\) takes 3 fields, got 4$",
+}
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, fault",
+    [
+        (("e", "a"), {}, "missing field 'final'"),
+        (("e", "a", "b"), {"colour": "red"}, "unexpected field 'colour'"),
+        (("e", "a", "b"), {"id": "f"}, "multiple values for field 'id'"),
+        (("e", "a", "b", "c"), {}, "takes 3 fields, got 4"),
+    ],
+)
+def test_bad_construction_raises_type_error(args, kwargs, fault):
+    with pytest.raises(TypeError, match=_BAD_CONSTRUCTION[fault]):
+        Edge(*args, **kwargs)
+
+
 def test_fast_init_rejects_bad_arguments():
     with pytest.raises(TypeError):
         Scalar(Fraction(1), Fraction(2), Fraction(3))
