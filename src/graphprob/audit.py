@@ -93,7 +93,7 @@ def _loop_cells(graph, backend, word):
 # The audit rows in order: (id, subject, claim, stated).  The subject is
 # the graph's first edge ("edge") or first loop edge ("loop"); a row is
 # skipped when the graph has none.  Claim and stated text are formatted
-# with the subject's word {w} and initial vertex {v}; ``_SUBJECT_CELLS``
+# with the subject's word {w} and initial vertex {v}; ``_SUBJECTS``
 # computes every row of a subject at once.
 _AUDIT_ROWS = (
     ("R1", "edge", "range projection: L[{w}]L*[{w}] equals the projection at @{v}",
@@ -109,17 +109,16 @@ _AUDIT_ROWS = (
     ("R6", "loop", "halving the loop variance (squared 1/sqrt(2) normalization) "
      "gives the unit second bracket", "1*L[@{v}]"),
 )
-_SUBJECT_CELLS = {"edge": _edge_cells, "loop": _loop_cells}
-# The fock depth each subject's rows need: the edge rows multiply two
-# degree-1 factors, and R5 takes brackets of order 6 of a loop generator.
-AUDIT_DEPTHS = {"edge": 2, "loop": 6}
+# Each subject's cells, and the fock depth its rows need: two degree-1
+# factors in the edge rows, and brackets of order 6 of a loop in R5.
+_SUBJECTS = {"edge": (_edge_cells, 2), "loop": (_loop_cells, 6)}
 
 
 def claims_audit(graph: Graph, kinds=(AXIOMATIC, FOCK)) -> AuditReport:
     """Audit rows R1..R6 where the graph supplies a subject, one column
     per backend kind.  R1 and R4 need any edge, the loop rows R2, R3, R5,
-    R6 need a loop edge.  The fock depth is the largest ``AUDIT_DEPTHS``
-    entry of the graph's subjects, and each subject is evaluated once per
+    R6 need a loop edge.  The fock depth is the largest ``_SUBJECTS``
+    depth of the graph's subjects, and each subject is evaluated once per
     backend.  Mismatching rows are reported, never raised.
     """
     kinds = tuple(kinds)
@@ -128,11 +127,11 @@ def claims_audit(graph: Graph, kinds=(AXIOMATIC, FOCK)) -> AuditReport:
     loops = classify_edges(graph).eloop
     firsts = {"edge": [e.id for e in graph.edges[:1]], "loop": loops[:1]}
     words = {s: PathWord.from_edges(graph, ids) for s, ids in firsts.items() if ids}
-    depth = max([AUDIT_DEPTHS[s] for s in words], default=0)
+    depth = max([_SUBJECTS[s][1] for s in words], default=0)
     cells: dict = {}
     for backend in [Backend.of(kind, depth) for kind in kinds]:
         for subject, word in words.items():
-            for rid, cell in _SUBJECT_CELLS[subject](graph, backend, word).items():
+            for rid, cell in _SUBJECTS[subject][0](graph, backend, word).items():
                 cells.setdefault(rid, {})[backend.kind] = cell
     rows = tuple(
         AuditRow(

@@ -187,8 +187,6 @@ def cmd_validate(args, graph: Graph):
 
 
 def cmd_paths(args, graph: Graph):
-    if args.max_len < 0:
-        raise DomainError("max length must be nonnegative")
     words = enumerate_paths(graph, args.max_len)
 
     def text():

@@ -43,7 +43,6 @@ from ``nestings``.
 
 from __future__ import annotations
 
-import itertools
 import sys
 
 from . import _first_use
@@ -62,7 +61,7 @@ __getattr__ = _first_use(globals(), dict.fromkeys(
 
 
 def _first_blocks(lo: int, hi: int, balanced=lambda i, j: True) -> list[tuple[int, ...]]:
-    """The blocks of {lo..hi} that contain lo: by size, then lexicographically.
+    """The blocks of {lo..hi} that contain lo, in lexicographic order.
 
     ``balanced(i, j)`` says whether positions i+1..j may carry a nonzero
     sum; a block skips a gap (b+1..c-1) only when ``balanced(b, c - 1)``
@@ -79,7 +78,6 @@ def _first_blocks(lo: int, hi: int, balanced=lambda i, j: True) -> list[tuple[in
                 grow(block + (c,))
 
     grow((lo,))
-    out.sort(key=len)
     return out
 
 
@@ -236,14 +234,15 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
     mixed tuples (an empty family) the report is empty.  The fock depth
     is gated once, before any bracket, at a mixed tuple's largest degree.
 
-    Tuples are walked depth-first in ``itertools.product`` order, each
-    order's findings in turn, carrying the reduced image of each prefix
-    (``free_product``).  Only mixed tuples of image 1 reach
-    ``valuation``, and a prefix whose image is longer than its remaining
-    slots times the longest pool image is not extended: every other
-    bracket is zero.  When a pool element has no image (a sum), nothing
-    is pruned and every mixed tuple goes to ``valuation``, which grades
-    it.  ``tuples_checked`` counts all mixed tuples, by closed form.
+    Tuples are walked depth-first in ``itertools.product`` order,
+    carrying the reduced image of each prefix (``free_product``), and one
+    stable sort by order puts the findings in report order.  Only mixed
+    tuples of image 1 reach ``valuation``, and a prefix whose image is
+    longer than its remaining slots times the longest pool image is not
+    extended: every other bracket is zero.  When a pool element has no
+    image (a sum), nothing is pruned and every mixed tuple goes to
+    ``valuation``, which grades it.  ``tuples_checked`` counts all mixed
+    tuples, by closed form.
 
     An order whose walk and brackets would need more frames than
     ``sys.getrecursionlimit()`` allows raises ArityBoundError first.
@@ -265,7 +264,7 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
         return labels.get(x, str(x))
 
     pool = list(dict.fromkeys(closed_a + closed_b))
-    findings: list[list[ScanFinding]] = [[] for _ in range(max_order + 1)]
+    findings: list[ScanFinding] = []
     if closed_a and closed_b:
         smaller, larger = sorted(max(x.degree for x in c) for c in (closed_a, closed_b))
         pool[0].backend.gate((max_order - 1) * larger + smaller)
@@ -284,7 +283,7 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
             if has_a and has_b and not word:
                 val = f.valuation(prefix)
                 if not val.is_zero:
-                    findings[n].append(ScanFinding(n, tuple(label(x) for x in prefix), val))
+                    findings.append(ScanFinding(n, tuple(label(x) for x in prefix), val))
             if n >= max_order:
                 return
             room = (max_order - n - 1) * longest
@@ -301,5 +300,5 @@ def mixed_cumulant_scan(family_a, family_b, max_order: int, *, labels=None) -> M
         tuple(label(x) for x in closed_b),
         max_order,
         checked,
-        tuple(itertools.chain.from_iterable(findings)),
+        tuple(sorted(findings, key=lambda finding: finding.order)),
     )

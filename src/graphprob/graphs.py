@@ -258,7 +258,7 @@ def enumerate_paths(graph: Graph, max_len: int) -> list[PathWord]:
     length n costs n + 1, and a total cost above ``PATH_ENUMERATION_LIMIT``
     raises ArityBoundError before any word is built."""
     if max_len < 0:
-        raise DomainError("max_len must be nonnegative")
+        raise DomainError("max length must be nonnegative")
     ends, words, letters = Counter(graph.vertices), 0, 0
     for length in range(max_len + 1):
         level = sum(ends.values())

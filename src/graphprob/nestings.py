@@ -79,7 +79,7 @@ def _nc_of(lo: int, hi: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     if lo > hi:
         return ((),)
     out = []
-    for head in _first_blocks(lo, hi):
+    for head in sorted(_first_blocks(lo, hi), key=len):
         ends = head[1:] + (hi + 1,)
         parts = [_nc_of(b + 1, e - 1) for b, e in zip(head, ends)]
         for combo in itertools.product(*parts):

@@ -17,12 +17,7 @@ from .records import Record, num_den
 
 
 def _rational(x) -> Rational:
-    """``x`` as an exact rational: a str is parsed as ``Fraction(x)`` parses
-    it, and floats, ``Decimal`` and complex numbers are rejected."""
-    if isinstance(x, str):
-        from fractions import Fraction
-
-        return Fraction(x)
+    """``x`` if it is an exact rational: floats, Decimal, complex and str raise TypeError."""
     if isinstance(x, Rational):
         return x
     raise TypeError(f"not an exact rational: {x!r}")
@@ -50,8 +45,8 @@ class Scalar(Record):
 
     @staticmethod
     def of(re, im=0) -> "Scalar":
-        """The scalar re + im*i from exact rationals or their strings; a
-        Scalar ``re`` with no ``im`` is returned unchanged."""
+        """The scalar re + im*i from exact rationals; a Scalar ``re`` with
+        no ``im`` is returned unchanged."""
         if isinstance(re, Scalar) and im == 0:
             return re
         return Scalar(_rational(re), _rational(im))

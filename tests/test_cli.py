@@ -825,6 +825,17 @@ def test_request_bounds_are_domain_errors(capsys):
         ), argv
 
 
+def test_negative_path_length_has_the_graph_layers_message(capsys):
+    # paths passes --max-len to enumerate_paths unchecked, so the message
+    # a command line reports is the one the graph layer raises.
+    with pytest.raises(DomainError) as caught:
+        enumerate_paths(load_fixture("one_loop"), -1)
+    payload = {"error": {"code": "domain-error", "message": str(caught.value)}}
+    assert run(capsys, "paths", ONE_LOOP, "--max-len", "-1") == (
+        1, "", json.dumps(payload) + "\n"
+    )
+
+
 def test_path_enumeration_over_the_limit_is_arity_bound(capsys):
     # bouquet3 has 3^n words of length n: counting stops at length 11, the
     # first whose words and letters pass the limit, and no word is built.

@@ -65,7 +65,7 @@ def test_unknown_and_dropped_names_raise_naming_their_module():
     # Rows, blocks and limits are read from the modules that define them.
     dropped = {
         analyzers: {structure: ("BasicLoopRow", "DiagonalBlock", "EdgeBlock"),
-                    audit: ("AUDIT_DEPTHS", "AuditRow")},
+                    audit: ("AuditRow",)},
         cumulants: {nestings: ("NCPartition", "NC_ENUMERATION_LIMIT", "DressedTag",
                                "dressed_tags")},
     }

@@ -29,9 +29,10 @@ def test_exact_arithmetic():
 
 
 def test_parts_are_int_when_integral():
-    for s in (Scalar.of(Fraction(6, 3), "-4/2"), Scalar(Fraction(2), Fraction(0)), ONE, ZERO):
+    for s in (Scalar.of(Fraction(6, 3), Fraction(-4, 2)), Scalar(Fraction(2), Fraction(0)), ONE,
+              ZERO):
         assert type(s.re) is int and type(s.im) is int
-    half = Scalar.of("1/2", True)
+    half = Scalar.of(Fraction(1, 2), True)
     assert (half.re, type(half.re)) == (Fraction(1, 2), Fraction)
     assert (half.im, type(half.im)) == (1, int)
     assert type((half + half).re) is int
@@ -46,6 +47,9 @@ def test_inexact_numbers_are_rejected(one_loop):
         lambda: Scalar.of(0.5),
         lambda: Scalar.of(Decimal(1)),
         lambda: Scalar.of(1j),
+        lambda: Scalar.of("1/2"),
+        lambda: Scalar.of(1, "1/2"),
+        lambda: DiagonalElement.make(one_loop, {"v": "1/2"}),
         lambda: Scalar.of(1) * 0.5,
         lambda: 0.5 * Scalar.of(1),
         lambda: Scalar.of(1) * Decimal(1),
